@@ -1,10 +1,21 @@
 """Numerical comass estimation for sign-valued forms.
 
-`evaluate` computes the pairing of a form with an orthonormal p-frame as a
-sum of p x p determinants.  `comass` estimates the supremum of that pairing
-over all frames by multi-start projected gradient ascent on the Stiefel
-manifold; the support's coordinate planes are always included as starting
-points, so the reported maximum is at least the best coordinate value.
+`evaluate` pairs a form with an orthonormal p-frame as a signed sum of
+p x p minors.  `comass` maximises that pairing over the Stiefel manifold by
+Riemannian gradient ascent, from one start per support plane and then
+`restarts` random frames drawn from `numpy.random.default_rng(seed)`.
+Each start keeps its own step: a trial begins at min(2 * last step, 1) and
+halves until the QR-retracted point passes the Armijo test
+f(R(x + a xi)) >= f(x) + ARMIJO * a * |xi|^2 (Absil, Mahony and Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008, section 4.2) and
+raises the value strictly, since near a maximum the Armijo margin falls
+below rounding.  A start stops, flagged converged, once |xi| < GRAD_TOL; it
+also stops when no step down to MIN_STEP passes, or after `max_iter` steps.
+The starts run as one (n, d, p) array in blocks of BLOCK_SIZE; all
+arithmetic stays within a start, so its result does not depend on its
+block.  The reported frame is the lexicographically smallest, entries
+rounded to 9 decimals and compared as numbers, among the starts within
+TIE_TOL of the maximum.
 """
 
 from __future__ import annotations
@@ -21,6 +32,12 @@ ORTHONORMALITY_ATOL = 1e-10
 DEFAULT_RESTARTS = 200
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
+
+ARMIJO = 0.5
+GRAD_TOL = 1e-7
+MIN_STEP = 1e-10
+BLOCK_SIZE = 64
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +79,18 @@ class Frame:
         return cls(rows)
 
 
+def _terms(form: SpecialForm) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (w, p) index array and (w,) sign vector of the terms."""
+    idx = np.array([s.indices for s, _ in form.terms], dtype=int) - 1
+    signs = np.array([g for _, g in form.terms], dtype=float)
+    return idx, signs
+
+
+def _values(x: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The form's value on each frame of an (n, d, p) stack."""
+    return (np.linalg.det(x[:, idx, :]) * signs).sum(axis=-1)
+
+
 def evaluate(form: SpecialForm, frame: Frame) -> float:
     """Pairing of the form with the oriented plane spanned by the frame."""
     if frame.d != form.d:
@@ -70,10 +99,7 @@ def evaluate(form: SpecialForm, frame: Frame) -> float:
         raise DomainError(f"frame has {frame.p} vectors, form degree is {form.p}")
     if form.weight == 0:
         return 0.0
-    idx = np.array([s.indices for s, _ in form.terms], dtype=int) - 1
-    signs = np.array([g for _, g in form.terms], dtype=float)
-    mats = np.transpose(frame.vectors[:, idx], (1, 0, 2))
-    return float(signs @ np.linalg.det(mats))
+    return float(_values(frame.vectors.T[None], *_terms(form))[0])
 
 
 def calibrated_coordinate_planes(
@@ -84,69 +110,72 @@ def calibrated_coordinate_planes(
     return form.terms
 
 
-def _cofactors(mats: np.ndarray) -> np.ndarray:
-    w, p, _ = mats.shape
-    if p == 1:
-        return np.ones_like(mats)
-    if p == 2:
-        c = np.empty_like(mats)
-        c[:, 0, 0] = mats[:, 1, 1]
-        c[:, 0, 1] = -mats[:, 1, 0]
-        c[:, 1, 0] = -mats[:, 0, 1]
-        c[:, 1, 1] = mats[:, 0, 0]
-        return c
-    cof = np.empty_like(mats)
-    rows = list(range(p))
-    for a in range(p):
-        ra = rows[:a] + rows[a + 1 :]
-        sub = mats[:, ra, :]
-        for b in range(p):
-            cb = rows[:b] + rows[b + 1 :]
-            cof[:, a, b] = ((-1) ** (a + b)) * np.linalg.det(sub[:, :, cb])
-    return cof
+def _gradient(x: np.ndarray, idx: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of the form at each frame of an (n, d, p) stack.
+
+    The gradient of a minor is its cofactor matrix; `incidence[t, b, i]` is
+    the sign of term t where its b-th index is axis i, and zero elsewhere."""
+    p = x.shape[2]
+    others = np.array([np.delete(np.arange(p), i) for i in range(p)])
+    mats = x[:, idx, :]
+    minors = mats[:, :, others[:, None, :, None], others[None, :, None, :]]
+    cof = np.linalg.det(minors) * (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
+    return np.einsum("ntba,tbi->nia", cof, incidence)
 
 
 def _retract(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
-    s = np.sign(np.diag(r))
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
-    return q * s
+    return q * s[..., None, :]
 
 
-def _ascend(x, idx, signs, max_iter):
-    """Projected gradient ascent with QR retraction and step halving."""
+def _ascend(x, idx, signs, incidence, max_iter):
+    """Armijo gradient ascent of every start in an (n, d, p) block.
 
-    def value(y):
-        return float(signs @ np.linalg.det(y[idx, :]))
+    Returns the final frames, values, step counts and converged flags."""
+    x = x.copy()
+    val = _values(x, idx, signs)
+    step = np.ones(len(x))
+    iterations = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.flatnonzero(iterations < max_iter)
+    while active.size:
+        xa = x[active]
+        g = _gradient(xa, idx, incidence)
+        xtg = np.swapaxes(xa, 1, 2) @ g
+        xi = g - xa @ ((xtg + np.swapaxes(xtg, 1, 2)) / 2.0)
+        sq = (xi * xi).sum(axis=(1, 2))
+        done = sq < GRAD_TOL**2
+        converged[active[done]] = True
+        trial = np.minimum(2.0 * step[active], 1.0)
+        moved = np.zeros(active.size, dtype=bool)
+        pending = np.flatnonzero(~done)
+        while pending.size:
+            a = trial[pending]
+            y = _retract(xa[pending] + a[:, None, None] * xi[pending])
+            fy = _values(y, idx, signs)
+            v = val[active[pending]]
+            ok = (fy > v) & (fy >= v + ARMIJO * a * sq[pending])
+            k = active[pending[ok]]
+            x[k], val[k], step[k] = y[ok], fy[ok], a[ok]
+            iterations[k] += 1
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            trial[pending] /= 2.0
+            pending = pending[trial[pending] >= MIN_STEP]
+        active = active[moved]
+        active = active[iterations[active] < max_iter]
+    return x, val, iterations, converged
 
-    def gradient(y):
-        cof = _cofactors(y[idx, :])
-        g = np.zeros_like(y)
-        for t in range(len(signs)):
-            g[idx[t], :] += signs[t] * cof[t]
-        return g
 
-    val = value(x)
-    step = 1.0
-    for _ in range(max_iter):
-        g = gradient(x)
-        xtg = x.T @ g
-        xi = g - x @ ((xtg + xtg.T) / 2.0)
-        if float(np.linalg.norm(xi)) < 1e-10:
-            break
-        step = min(step * 2.0, 1.0)
-        improved = False
-        while step > 1e-14:
-            y = _retract(x + step * xi)
-            nv = value(y)
-            if nv > val + 1e-14:
-                x, val = y, nv
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return x, val
+def _lex_smallest(frames: np.ndarray) -> int:
+    """Index of the lexicographically smallest frame after rounding to 9
+    decimals, comparing entries as numbers; exact entries, then the index,
+    break remaining ties."""
+    flat = frames.reshape(len(frames), -1)
+    keys = np.concatenate([np.round(flat, 9), flat], axis=1)
+    return int(np.lexsort(keys.T[::-1])[0])
 
 
 @dataclass(frozen=True)
@@ -154,7 +183,9 @@ class ComassReport:
     """Outcome of the comass search.
 
     `restart_values` holds the final value of every start: first one entry
-    per support plane, then one per random restart.  `calibrated` means the
+    per support plane, then one per random restart.  `iterations` and
+    `converged` follow the same order: the ascent steps each start took, and
+    whether it stopped on the gradient tolerance.  `calibrated` means the
     maximum equals 1 within the tolerance; `achieved_on_coordinate_plane`
     means no frame beat the best coordinate plane."""
 
@@ -163,6 +194,8 @@ class ComassReport:
     achieved_on_coordinate_plane: bool
     n_restarts: int
     restart_values: tuple[float, ...]
+    iterations: tuple[int, ...]
+    converged: tuple[bool, ...]
     frame: Frame
 
     def to_dict(self) -> dict:
@@ -172,6 +205,8 @@ class ComassReport:
             "achieved_on_coordinate_plane": self.achieved_on_coordinate_plane,
             "n_restarts": self.n_restarts,
             "restart_values": list(self.restart_values),
+            "iterations": list(self.iterations),
+            "converged": list(self.converged),
             "frame": [[float(x) for x in row] for row in self.frame.vectors],
         }
 
@@ -186,6 +221,8 @@ class ComassReport:
                 ),
                 n_restarts=int(data["n_restarts"]),
                 restart_values=tuple(float(x) for x in data["restart_values"]),
+                iterations=tuple(int(x) for x in data["iterations"]),
+                converged=tuple(bool(x) for x in data["converged"]),
                 frame=Frame(np.array(data["frame"], dtype=float)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -202,55 +239,56 @@ def comass(
 ) -> ComassReport:
     """Best evaluation over orthonormal frames found by gradient ascent.
 
-    Deterministic for a fixed seed.  Ties between frames reaching the same
-    maximum are broken by the lexicographically smallest rounded frame.
+    Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
+    maximum, the lexicographically smallest rounded frame is reported.
     """
     if restarts < 0:
         raise DomainError(f"restart count must be >= 0, got {restarts}")
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tolerance must lie in (0, 1e-2], got {tol}")
-    d, p = form.d, form.p
-    if form.weight == 0:
+    d, p, w = form.d, form.p, form.weight
+    if w == 0:
         return ComassReport(
             max_value=0.0,
             calibrated=False,
             achieved_on_coordinate_plane=False,
             n_restarts=restarts,
             restart_values=(),
+            iterations=(),
+            converged=(),
             frame=Frame.coordinate(d, range(1, p + 1)),
         )
-    idx = np.array([s.indices for s, _ in form.terms], dtype=int) - 1
-    signs = np.array([g for _, g in form.terms], dtype=float)
+    idx, signs = _terms(form)
+    incidence = signs[:, None, None] * (idx[:, :, None] == np.arange(d))
+    support = np.zeros((w, d, p))
+    support[np.arange(w)[:, None], idx, np.arange(p)] = 1.0
+    support[:, :, 0] *= signs[:, None]
     rng = np.random.default_rng(seed)
 
-    starts = []
-    for s, g in form.terms:
-        x0 = np.zeros((d, p))
-        for a, i in enumerate(s.indices):
-            x0[i - 1, a] = 1.0
-        if g < 0:
-            x0[:, 0] *= -1.0
-        starts.append(x0)
-    for _ in range(restarts):
-        starts.append(_retract(rng.standard_normal((d, p))))
-
+    values, iterations, converged = [], [], []
+    near_v, near_x = np.empty(0), np.empty((0, d, p))
+    for lo in range(0, w + restarts, BLOCK_SIZE):
+        hi = min(lo + BLOCK_SIZE, w + restarts)
+        fresh = rng.standard_normal((max(0, hi - max(lo, w)), d, p))
+        x0 = np.concatenate([support[lo:hi], _retract(fresh)])
+        x, val, its, conv = _ascend(x0, idx, signs, incidence, max_iter)
+        values.extend(val.tolist())
+        iterations.extend(its.tolist())
+        converged.extend(conv.tolist())
+        near_v = np.concatenate([near_v, val])
+        near_x = np.concatenate([near_x, x])
+        keep = near_v >= near_v.max() - TIE_TOL
+        near_v, near_x = near_v[keep], near_x[keep]
+    best = float(near_v.max())
     coord_best = 1.0  # each support plane evaluates to exactly +-1
-    best_val = -np.inf
-    best_x = None
-    values = []
-    for x0 in starts:
-        x, val = _ascend(x0, idx, signs, max_iter)
-        values.append(val)
-        if val > best_val + 1e-12:
-            best_val, best_x = val, x
-        elif abs(val - best_val) <= 1e-12:
-            if np.round(x, 9).tobytes() < np.round(best_x, 9).tobytes():
-                best_x = x
+    winner = _lex_smallest(np.swapaxes(near_x, 1, 2))
     return ComassReport(
-        max_value=best_val,
-        calibrated=abs(best_val - 1.0) <= tol,
-        achieved_on_coordinate_plane=best_val <= coord_best + tol,
+        max_value=best,
+        calibrated=abs(best - 1.0) <= tol,
+        achieved_on_coordinate_plane=best <= coord_best + tol,
         n_restarts=restarts,
         restart_values=tuple(values),
-        frame=Frame(best_x.T),
+        iterations=tuple(iterations),
+        converged=tuple(converged),
+        frame=Frame(near_x[winner].T),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .calibration import DEFAULT_RESTARTS, DEFAULT_TOL
 from .errors import DomainError
 
 ENV_VAR = "SPECIALFORMS_CONFIG"
@@ -23,8 +24,8 @@ class RunConfig:
     canon_d_cap: int = 10
     solver_r_cap: int = 8
     autom_r_cap: int = 12
-    comass_tol: float = 1e-6
-    comass_restarts: int = 200
+    comass_tol: float = DEFAULT_TOL
+    comass_restarts: int = DEFAULT_RESTARTS
     output: str | None = None
     format: str = "json"
 

@@ -18,6 +18,7 @@ from specialforms import (
     comass,
     evaluate,
 )
+from specialforms.calibration import BLOCK_SIZE, _lex_smallest
 
 
 def form(d, p, *terms):
@@ -183,4 +184,78 @@ def test_report_round_trip():
     assert back.calibrated == rep.calibrated
     assert back.n_restarts == rep.n_restarts
     assert back.restart_values == rep.restart_values
+    assert back.iterations == rep.iterations
+    assert back.converged == rep.converged
+    assert len(rep.iterations) == len(rep.converged) == len(rep.restart_values)
     assert np.allclose(back.frame.vectors, rep.frame.vectors)
+    data = rep.to_dict()
+    del data["converged"]
+    with pytest.raises(DomainError):
+        ComassReport.from_dict(data)
+
+
+def test_tie_break_compares_rounded_frames_as_numbers():
+    def smallest(*rows):
+        return _lex_smallest(np.array(rows, dtype=float).reshape(len(rows), 1, -1))
+
+    assert smallest([2.0, 0.0], [0.5, 0.0]) == 1  # by IEEE bytes 2.0 sorts first
+    assert smallest([0.0, 1.0], [-1.0, 1.0]) == 1
+    assert smallest([1.0, 2.0], [1.0, 0.5]) == 1  # later entries decide ties
+    assert smallest([-0.0, 1.0], [0.0, 1.0]) == 0
+    assert smallest([0.0, 1.0], [-0.0, 1.0]) == 0
+    assert smallest([0.3 + 1e-12, 1.0], [0.3, 2.0]) == 0  # rounding comes first
+
+
+def test_tie_break_ignores_start_order():
+    rng = np.random.default_rng(5)
+    frames = np.round(rng.standard_normal((40, 2, 3)), 1)
+    frames[7] = frames[3]
+    first = frames[_lex_smallest(frames)]
+    for _ in range(5):
+        shuffled = frames[rng.permutation(len(frames))]
+        assert np.array_equal(shuffled[_lex_smallest(shuffled)], first)
+
+
+def test_random_restarts_converge_on_e12_plus_e34():
+    f = form(4, 2, ((1, 2), 1), ((3, 4), 1))
+    rep = comass(f, restarts=200)
+    ok = [
+        abs(v - 1.0) <= 1e-9 and conv and its < 500
+        for v, its, conv in zip(
+            rep.restart_values[f.weight :],
+            rep.iterations[f.weight :],
+            rep.converged[f.weight :],
+        )
+    ]
+    assert sum(ok) >= 0.95 * 200
+
+
+def test_restarts_do_not_depend_on_their_batch():
+    f = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), -1))
+    k = 10
+    short = comass(f, restarts=k, seed=8)
+    long = comass(f, restarts=BLOCK_SIZE + k, seed=8)
+    n = f.weight + k
+    assert np.allclose(short.restart_values, long.restart_values[:n], rtol=0, atol=1e-12)
+    assert short.iterations == long.iterations[:n]
+    assert short.converged == long.converged[:n]
+
+
+def test_reported_frame_attains_the_maximum():
+    for f in (cayley_form(), form(3, 2, ((1, 2), 1), ((1, 3), 1))):
+        rep = comass(f, restarts=30, seed=2)
+        v = rep.frame.vectors
+        assert np.max(np.abs(v @ v.T - np.eye(f.p))) <= 1e-12
+        assert abs(evaluate(f, rep.frame) - rep.max_value) <= 1e-12
+
+
+def test_comass_edge_shapes():
+    line = comass(form(3, 1, ((1,), 1), ((2,), -1), ((3,), 1)), restarts=6)
+    assert line.max_value == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    assert all(line.converged)
+    volume = comass(form(3, 3, ((1, 2, 3), -1)), restarts=6)
+    assert volume.max_value == pytest.approx(1.0, abs=1e-12)
+    assert volume.iterations == (0,) * 7 and all(volume.converged)
+    bare = comass(form(4, 2, ((1, 2), 1), ((1, 3), 1)), restarts=0)
+    assert len(bare.restart_values) == len(bare.iterations) == 2
+    assert bare.max_value == pytest.approx(math.sqrt(2.0), abs=1e-9)
