@@ -105,16 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bell = sub.add_parser("bell", help="number of set partitions")
     p_bell.add_argument("m", type=int)
 
+    # -o may also follow the command; SUPPRESS keeps an absent one from
+    # overwriting the value given before the command.
+    for leaf in (p_canon, p_graph, p_real, p_mat, p_enum, p_count, p_cls, p_cal, p_bell):
+        leaf.add_argument("-o", "--output", default=argparse.SUPPRESS,
+                          help="write the result here instead of stdout")
     return parser
-
-
-def _is_invariant(f, sigma: Sequence[int]) -> bool:
-    values = dict(f.values)
-    for subset, val in f.values:
-        image = tuple(sorted(sigma[v - 1] for v in subset))
-        if values.get(image, 0) != val:
-            return False
-    return True
 
 
 def _cmd_canon(args, cfg: RunConfig) -> str:
@@ -138,7 +134,7 @@ def _cmd_realize(args, cfg: RunConfig) -> str:
         sigma = _parse_ints(args.invariant_under, "--invariant-under")
         if sorted(sigma) != list(range(1, m.r + 1)):
             raise DomainError(f"not a vertex permutation of 1..{m.r}: {sigma}")
-        solutions = [f for f in solutions if _is_invariant(f, sigma)]
+        solutions = [f for f in solutions if f.is_invariant(sigma)]
     out = {"r": m.r, "p": args.p, "count": len(solutions), "solutions": []}
     for f in solutions:
         real = realize(f)

@@ -2,8 +2,13 @@
 
 Three failure modes are distinguished so the command line tool can map them
 onto distinct exit codes: bad input values, violated call preconditions, and
-requests that exceed a configured size cap.
+requests that exceed a configured size cap.  `as_ints` is the strict
+integer conversion that every parser uses, so no float is silently
+truncated.
 """
+
+import operator
+from typing import Iterable
 
 
 class SpecialFormsError(Exception):
@@ -20,3 +25,15 @@ class PreconditionError(SpecialFormsError):
 
 class CapacityError(SpecialFormsError):
     """The requested computation exceeds a configured size cap."""
+
+
+def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints, raising DomainError for any non-integer such as 1.5.
+
+    Python and numpy integers pass; floats and strings do not, even when
+    integral, because converting them would accept truncated input.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise DomainError(f"{what} must be integers: {exc}") from exc

@@ -15,11 +15,12 @@ sequence with +1 before -1.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, as_ints
 
 # Above this dimension a full orbit minimisation is refused by default.
 DEFAULT_CANON_DIMENSION_CAP = 10
@@ -45,7 +46,7 @@ class OrientedSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        idx = as_ints(self.indices, "indices")
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise DomainError("oriented subset must be nonempty")
@@ -156,8 +157,12 @@ class SpecialForm:
     @classmethod
     def from_dict(cls, data: dict) -> "SpecialForm":
         try:
-            terms = [(tuple(t["indices"]), int(t["sign"])) for t in data["terms"]]
-            return cls.from_terms(int(data["d"]), int(data["p"]), terms)
+            terms = [
+                (tuple(t["indices"]), operator.index(t["sign"])) for t in data["terms"]
+            ]
+            return cls.from_terms(
+                operator.index(data["d"]), operator.index(data["p"]), terms
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed form object: {exc}") from exc
 

@@ -9,11 +9,12 @@ distance occurs exactly twice per row.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import CapacityError, DomainError, PreconditionError, as_ints
 from .forms import SpecialForm
 
 # Automorphism searches are refused above this vertex count by default.
@@ -28,7 +29,7 @@ class DistanceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        ent = tuple(tuple(int(x) for x in row) for row in self.entries)
+        ent = tuple(as_ints(row, "matrix entries") for row in self.entries)
         object.__setattr__(self, "entries", ent)
         if self.r < 1:
             raise DomainError(f"vertex count must be >= 1, got {self.r}")
@@ -61,7 +62,7 @@ class DistanceMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "DistanceMatrix":
         try:
-            return cls(int(data["r"]), tuple(tuple(row) for row in data["entries"]))
+            return cls(operator.index(data["r"]), tuple(data["entries"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed matrix object: {exc}") from exc
 

@@ -14,12 +14,13 @@ on a realisation.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityError, DomainError, PreconditionError
-from .forms import OrientedSubset, SpecialForm
+from .errors import CapacityError, DomainError, PreconditionError, as_ints
+from .forms import OrientedSubset, SpecialForm, _echelon_insert
 from .graphs import DistanceMatrix, is_admissible
 
 # Exhaustive weight-function search is refused above this vertex count.
@@ -47,8 +48,8 @@ class GraphFunction:
             raise DomainError(f"degree must be >= 1, got {self.p}")
         norm = []
         for subset, val in self.values:
-            subset = tuple(int(v) for v in subset)
-            val = int(val)
+            subset = as_ints(subset, "subset vertices")
+            (val,) = as_ints((val,), "weights")
             if val < 0:
                 raise DomainError(f"negative weight {val} on {subset}")
             if not subset or len(subset) >= self.r:
@@ -84,6 +85,20 @@ class GraphFunction:
                 sums[v - 1] += val
         return tuple(sums)
 
+    def is_invariant(self, sigma: Sequence[int]) -> bool:
+        """Whether f(sigma(S)) == f(S) for every subset S.
+
+        `sigma` gives 1-based images of the vertices 1..r.
+        """
+        sigma = as_ints(sigma, "permutation images")
+        if sorted(sigma) != list(range(1, self.r + 1)):
+            raise DomainError(f"not a vertex permutation of 1..{self.r}: {sigma}")
+        values = dict(self.values)
+        return all(
+            values.get(tuple(sorted(sigma[v - 1] for v in subset)), 0) == val
+            for subset, val in self.values
+        )
+
     def check(self) -> None:
         """Raise unless every vertex is covered with total weight p."""
         sums = self.vertex_sums()
@@ -116,11 +131,27 @@ class GraphFunction:
     def from_dict(cls, data: dict) -> "GraphFunction":
         try:
             values = tuple(
-                (tuple(entry["subset"]), int(entry["f"])) for entry in data["values"]
+                (tuple(entry["subset"]), entry["f"]) for entry in data["values"]
             )
-            return cls(int(data["r"]), int(data["p"]), values)
+            return cls(operator.index(data["r"]), operator.index(data["p"]), values)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed graph function object: {exc}") from exc
+
+
+@dataclass
+class SearchStats:
+    """Work counters of an exhaustive search.
+
+    `nodes` counts the branch positions entered, `leaves` the nodes at which
+    every branching choice is fixed, `pruned` the nodes cut by a bound and
+    `solutions` the results returned.  A search adds its counts to the
+    fields, so one object can total several calls.
+    """
+
+    nodes: int = 0
+    leaves: int = 0
+    pruned: int = 0
+    solutions: int = 0
 
 
 def solve(
@@ -129,6 +160,7 @@ def solve(
     d_filter: Optional[int] = None,
     *,
     vertex_cap: int = DEFAULT_SOLVER_VERTEX_CAP,
+    stats: Optional[SearchStats] = None,
 ) -> list[GraphFunction]:
     """All weight functions realising the matrix in degree p.
 
@@ -138,6 +170,20 @@ def solve(
     forced by the remaining pair budget, and singleton weights are forced
     by the remaining vertex budgets.  Branching therefore happens on sizes
     3..r-1 only, with weights bounded by the smallest open budget.
+
+    Branches are pruned by a pair-budget bound.  Let s_v be the size of the
+    largest subset containing v that the search has not reached (2 once
+    only pairs and singletons remain).  Each remaining unit of v's vertex
+    budget covers at most s_v - 1 units of the pair budgets at v, so a
+    branch is infeasible once the open pair budgets at v sum to more than
+    (s_v - 1) times v's vertex budget.  Fixing a subset of size s_v that
+    contains v leaves that slack unchanged, so the bound is checked only at
+    the positions where s_v drops: at the first subset, and right after
+    the last subset of each size that contains v.  The leaf test on the
+    pair weights is the s_v = 2 case, applied pair by pair.
+
+    Solutions are sorted by their values.  When `stats` is given, the
+    search adds its node, leaf, prune and solution counts to it.
     """
     if p < 1:
         raise DomainError(f"degree must be >= 1, got {p}")
@@ -164,15 +210,33 @@ def solve(
     pair_idx = {pq: k for k, pq in enumerate(pairs)}
     pair_budget = [p - m.entries[i][j] for i, j in pairs]
     vert_budget = [p] * r
+    pair_sum = [0] * r  # open pair budget at each vertex
+    for (i, j), c in zip(pairs, pair_budget):
+        pair_sum[i] += c
+        pair_sum[j] += c
 
     branch = []
     for size in range(r - 1, 2, -1):
         for combo in itertools.combinations(verts, size):
             internal = [pair_idx[ab] for ab in itertools.combinations(combo, 2)]
-            branch.append((combo, internal))
+            branch.append((combo, internal, size - 1))
+
+    # drops[k] holds (v, s_v - 1) for the vertices whose s_v drops on
+    # reaching position k: after v's last subset of each size, s_v falls to
+    # the next size, and to 2 after the last one.  Drops at the leaf are
+    # left to settle.
+    drops: list[list[tuple[int, int]]] = [[] for _ in branch]
+    if branch:
+        drops[0] = [(v, r - 2) for v in verts]
+    for v in verts:
+        at_v = [(k, s1) for k, (combo, _, s1) in enumerate(branch) if v in combo]
+        for (k, s1), (_, nxt) in zip(at_v, at_v[1:] + [(len(branch), 1)]):
+            if nxt != s1 and k + 1 < len(branch):
+                drops[k + 1].append((v, nxt))
 
     chosen: list[tuple[tuple[int, ...], int]] = []
     solutions: list[GraphFunction] = []
+    nodes = leaves = pruned = 0
 
     def settle() -> None:
         vb = list(vert_budget)
@@ -199,10 +263,17 @@ def solve(
         solutions.append(GraphFunction(r, p, values))
 
     def descend(k: int) -> None:
+        nonlocal nodes, leaves, pruned
+        nodes += 1
         if k == len(branch):
+            leaves += 1
             settle()
             return
-        members, internal = branch[k]
+        for v, s1 in drops[k]:
+            if pair_sum[v] > s1 * vert_budget[v]:
+                pruned += 1
+                return
+        members, internal, s1 = branch[k]
         ub = min(vert_budget[v] for v in members)
         for q in internal:
             if pair_budget[q] < ub:
@@ -211,6 +282,7 @@ def solve(
             if c:
                 for v in members:
                     vert_budget[v] -= c
+                    pair_sum[v] -= c * s1
                 for q in internal:
                     pair_budget[q] -= c
                 chosen.append((members, c))
@@ -218,12 +290,18 @@ def solve(
             if c:
                 for v in members:
                     vert_budget[v] += c
+                    pair_sum[v] += c * s1
                 for q in internal:
                     pair_budget[q] += c
                 chosen.pop()
 
     descend(0)
     solutions.sort(key=lambda f: f.values)
+    if stats is not None:
+        stats.nodes += nodes
+        stats.leaves += leaves
+        stats.pruned += pruned
+        stats.solutions += len(solutions)
     return solutions
 
 
@@ -257,12 +335,15 @@ class Realization:
     def from_dict(cls, data: dict) -> "Realization":
         try:
             return cls(
-                int(data["r"]),
-                int(data["p"]),
-                int(data["d"]),
+                operator.index(data["r"]),
+                operator.index(data["p"]),
+                operator.index(data["d"]),
                 tuple(OrientedSubset(tuple(s)) for s in data["subsets"]),
                 tuple(
-                    (tuple(b["subset"]), tuple(b["indices"]))
+                    (
+                        as_ints(b["subset"], "block vertices"),
+                        as_ints(b["indices"], "block indices"),
+                    )
                     for b in data["blocks"]
                 ),
             )
@@ -382,14 +463,7 @@ def forms_of(
         vectors.add(bits)
     basis: dict[int, int] = {}
     for vec in vectors:
-        v = vec
-        while v:
-            piv = v.bit_length() - 1
-            if piv in basis:
-                v ^= basis[piv]
-            else:
-                basis[piv] = v
-                break
+        _echelon_insert(basis, vec)
     free_bits = [b for b in range(w - 1, -1, -1) if b not in basis]
     if len(free_bits) > class_bit_cap:
         raise CapacityError(
@@ -421,16 +495,10 @@ def lift_symmetry(f: GraphFunction, sigma: Sequence[int]) -> tuple[int, ...]:
     image subset, so relabeling indices by it permutes the realisation's
     subsets exactly as sigma permutes vertices.
     """
-    sigma = tuple(int(v) for v in sigma)
-    if sorted(sigma) != list(range(1, f.r + 1)):
-        raise DomainError(f"not a vertex permutation of 1..{f.r}: {sigma}")
-    value_map = dict(f.values)
-    for subset, val in f.values:
-        image = tuple(sorted(sigma[v - 1] for v in subset))
-        if value_map.get(image, 0) != val:
-            raise PreconditionError(
-                f"weight function is not invariant: f{image} != f{subset}"
-            )
+    if not f.is_invariant(sigma):
+        raise PreconditionError(
+            f"weight function is not invariant under {tuple(sigma)}"
+        )
     real = realize(f)
     block_of = {subset: idx for subset, idx in real.blocks}
     perm = [0] * real.d

@@ -194,6 +194,36 @@ def test_output_file(tmp_path, form_file):
     assert out["r"] == 2
 
 
+def test_output_file_after_command(tmp_path, pentagon_file, capsys):
+    target = tmp_path / "out.json"
+    assert main(["realize", pentagon_file, "--p", "2", "-o", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text(encoding="utf-8"))["count"] == 1
+    # -o before the command keeps working, and a later one wins
+    before = tmp_path / "before.json"
+    after = tmp_path / "after.json"
+    assert main(["-o", str(before), "realize", pentagon_file, "--p", "2"]) == 0
+    assert before.read_text(encoding="utf-8") == target.read_text(encoding="utf-8")
+    unused = tmp_path / "unused.json"
+    assert main(["-o", str(unused), "bell", "4", "--output", str(after)]) == 0
+    assert json.loads(after.read_text(encoding="utf-8")) == 15
+    assert not unused.exists()
+
+
+def test_non_integer_inputs_exit_2(tmp_path, capsys):
+    matrix = write_json(tmp_path / "m.json", {"r": 2, "entries": [[0, 1.7], [1.2, 0]]})
+    assert main(["realize", matrix, "--p", "2"]) == 2
+    indices = write_json(
+        tmp_path / "f1.json", {"d": 4, "p": 2, "terms": [{"indices": [3.9, 4], "sign": 1}]}
+    )
+    assert main(["canon", indices]) == 2
+    sign = write_json(
+        tmp_path / "f2.json", {"d": 4, "p": 2, "terms": [{"indices": [3, 4], "sign": 1.5}]}
+    )
+    assert main(["graph", sign]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
 def test_config_file(tmp_path, capsys):
     f = SpecialForm.from_terms(12, 2, [((1, 2), 1)])
     path = write_json(tmp_path / "wide.json", f.to_dict())

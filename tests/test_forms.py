@@ -159,6 +159,21 @@ def test_orbit_equivalent():
         orbit_equivalent(form(4, 2, ((1, 2), 1)), form(5, 2, ((1, 2), 1)))
 
 
+def test_form_rejects_non_integers():
+    ok = {"d": 4, "p": 2, "terms": [{"indices": [3, 4], "sign": 1}]}
+    assert str(SpecialForm.from_dict(ok)) == "e34"
+    for bad in (
+        {"d": 4, "p": 2, "terms": [{"indices": [3.9, 4], "sign": 1}]},
+        {"d": 4, "p": 2, "terms": [{"indices": [3, 4], "sign": 1.5}]},
+        {"d": 4, "p": 2, "terms": [{"indices": [3, 4], "sign": 1.0}]},
+        {"d": 4.0, "p": 2, "terms": [{"indices": [3, 4], "sign": 1}]},
+    ):
+        with pytest.raises(DomainError):
+            SpecialForm.from_dict(bad)
+    with pytest.raises(DomainError):
+        OrientedSubset((3.9, 4))
+
+
 def test_json_round_trip():
     rng = random.Random(23)
     for _ in range(50):

@@ -59,6 +59,17 @@ def test_matrix_validation():
     assert DistanceMatrix.from_dict(m.to_dict()) == m
 
 
+def test_matrix_rejects_non_integers():
+    with pytest.raises(DomainError):
+        DistanceMatrix.from_dict({"r": 2, "entries": [[0, 1.7], [1.2, 0]]})
+    with pytest.raises(DomainError):
+        DistanceMatrix.from_dict({"r": 2, "entries": [[0, 2.0], [2.0, 0]]})
+    with pytest.raises(DomainError):
+        DistanceMatrix.from_dict({"r": 2.0, "entries": [[0, 2], [2, 0]]})
+    with pytest.raises(DomainError):
+        DistanceMatrix.from_rows([[0, "2"], ["2", 0]])
+
+
 def test_graph_of_form_examples():
     f = SpecialForm.from_terms(4, 2, [((1, 2), 1), ((3, 4), -1)])
     assert graph_of_form(f).entries == ((0, 2), (2, 0))

@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from helpers import all_admissible_matrices, fano_matrix, oracle_solve
+from helpers import (
+    all_admissible_matrices,
+    fano_matrix,
+    graph_function_invariant,
+    oracle_solve,
+)
 from specialforms import (
     CapacityError,
     DistanceMatrix,
@@ -14,6 +19,7 @@ from specialforms import (
     PreconditionError,
     Realization,
     OrientedSubset,
+    SearchStats,
     circulant_matrix,
     equivalent,
     forms_of,
@@ -123,6 +129,41 @@ def test_solve_matches_independent_oracle_spot_checks():
         assert [f.values for f in solve(m, 2)] == oracle_solve(m, 2)
 
 
+def all_two(r: int) -> DistanceMatrix:
+    return DistanceMatrix.from_rows(
+        [[0 if i == j else 2 for j in range(r)] for i in range(r)]
+    )
+
+
+def test_solve_matches_independent_oracle_on_five_vertices():
+    # 20 matrices with entries <= 2 at p = 2 and 20 with a 3 entry at p = 3
+    mats = list(all_admissible_matrices(5, 3))
+    rng = random.Random(53)
+    for top in (2, 3):
+        group = [m for m in mats if max(map(max, m.entries)) == top]
+        for m in rng.sample(group, 20):
+            assert [f.values for f in solve(m, top)] == oracle_solve(m, top)
+
+
+def test_solve_all_two_counts():
+    for r, p, count in ((5, 3, 15), (6, 4, 210), (7, 3, 30), (8, 3, 0)):
+        assert len(solve(all_two(r), p)) == count
+
+
+def test_solve_stats():
+    # without the pair-budget bound the r = 8 search visits 4,377,898 nodes
+    stats = SearchStats()
+    assert solve(all_two(8), 3, stats=stats) == []
+    assert stats == SearchStats(nodes=38306, leaves=0, pruned=849, solutions=0)
+    assert stats.nodes * 10 <= 4_377_898
+    # a second call adds to the same object
+    assert len(solve(all_two(7), 3, stats=stats)) == 30
+    assert stats == SearchStats(nodes=50777, leaves=57, pruned=1949, solutions=30)
+    filtered = SearchStats()
+    assert solve(fano_matrix(), 3, d_filter=6, stats=filtered) == []
+    assert filtered.leaves == 57 and filtered.solutions == 0
+
+
 def test_dimension_filter():
     m = fano_matrix()
     assert len(solve(m, 3)) == 30
@@ -166,6 +207,10 @@ def test_realize_pentagon_blocks():
         ((3, 4), (4,)),
         ((4, 5), (5,)),
     )
+    bad = real.to_dict()
+    bad["blocks"][0]["indices"] = [1.5]
+    with pytest.raises(DomainError):
+        Realization.from_dict(bad)
 
 
 def test_verify_reports_failures():
@@ -308,6 +353,40 @@ def test_lift_symmetry_rejects_bad_input():
         lift_symmetry(f, (1, 1, 3, 4, 5))
     with pytest.raises(PreconditionError):
         lift_symmetry(f, (2, 1, 3, 4, 5))  # sends {2,3} to the unweighted {1,3}
+
+
+def test_is_invariant_matches_oracle():
+    rng = random.Random(59)
+    sols = solve(fano_matrix(), 3)
+    fano_line_map = (2, 3, 4, 5, 6, 7, 1)  # x -> x + 1 mod 7 on 1-based labels
+    hits = 0
+    for f in sols:
+        shuffles = [tuple(rng.sample(range(1, 8), 7)) for _ in range(20)]
+        for sigma in [fano_line_map] + shuffles:
+            got = f.is_invariant(sigma)
+            assert got == graph_function_invariant(f, sigma)
+            hits += got
+    assert hits > 0
+    f = sols[0]
+    assert f.is_invariant(tuple(range(1, 8)))
+    for bad in ((1, 1, 3, 4, 5, 6, 7), (1, 2, 3), (1.0, 2, 3, 4, 5, 6, 7)):
+        with pytest.raises(DomainError):
+            f.is_invariant(bad)
+
+
+def test_graph_function_rejects_non_integers():
+    good = {"r": 3, "p": 2, "values": [{"subset": [1, 2], "f": 1}]}
+    assert GraphFunction.from_dict(good).values == (((1, 2), 1),)
+    with pytest.raises(DomainError):
+        GraphFunction.from_dict(
+            {"r": 3, "p": 2, "values": [{"subset": [1.9, 2], "f": 1}]}
+        )
+    with pytest.raises(DomainError):
+        GraphFunction.from_dict(
+            {"r": 3, "p": 2, "values": [{"subset": [1, 2], "f": 1.5}]}
+        )
+    with pytest.raises(DomainError):
+        GraphFunction.from_dict({"r": 3.0, "p": 2, "values": []})
 
 
 def test_lift_symmetry_identity_on_every_solution():
