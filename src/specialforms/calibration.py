@@ -102,14 +102,6 @@ def evaluate(form: SpecialForm, frame: Frame) -> float:
     return float(_values(frame.vectors.T[None], *_terms(form))[0])
 
 
-def calibrated_coordinate_planes(
-    form: SpecialForm,
-) -> tuple[tuple, ...]:
-    """The coordinate planes where the form attains value exactly +-1:
-    precisely its support, with the stored orientation signs."""
-    return form.terms
-
-
 def _gradient(x: np.ndarray, idx: np.ndarray, incidence: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the form at each frame of an (n, d, p) stack.
 

@@ -105,9 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bell = sub.add_parser("bell", help="number of set partitions")
     p_bell.add_argument("m", type=int)
 
-    # -o may also follow the command; SUPPRESS keeps an absent one from
-    # overwriting the value given before the command.
-    for leaf in (p_canon, p_graph, p_real, p_mat, p_enum, p_count, p_cls, p_cal, p_bell):
+    handlers = (
+        (p_canon, _cmd_canon), (p_graph, _cmd_graph), (p_real, _cmd_realize),
+        (p_mat, _cmd_democratic_matrix), (p_enum, _cmd_democratic_enum),
+        (p_count, _cmd_democratic_count), (p_cls, _cmd_democratic_classify),
+        (p_cal, _cmd_calibrate), (p_bell, _cmd_bell),
+    )
+    for leaf, handler in handlers:
+        leaf.set_defaults(handler=handler)
+        # -o may also follow the command; SUPPRESS keeps an absent one from
+        # overwriting the value given before the command.
         leaf.add_argument("-o", "--output", default=argparse.SUPPRESS,
                           help="write the result here instead of stdout")
     return parser
@@ -121,8 +128,7 @@ def _cmd_canon(args, cfg: RunConfig) -> str:
 def _cmd_graph(args, cfg: RunConfig) -> str:
     form = SpecialForm.from_dict(_read_json(args.form))
     m = graph_of_form(form)
-    fmt = args.format or (cfg.format if cfg.format in ("json", "dot") else "json")
-    if fmt == "dot":
+    if (args.format or cfg.format) == "dot":
         return to_dot(m, p=form.p)
     return _dump(m.to_dict())
 
@@ -170,8 +176,7 @@ def _cmd_democratic_matrix(args, cfg: RunConfig) -> str:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(m, p=args.p))
-    fmt = args.format or (cfg.format if cfg.format in ("json", "dot") else "json")
-    if fmt == "dot":
+    if (args.format or cfg.format) == "dot":
         return to_dot(m, p=args.p)
     return _dump(m.to_dict())
 
@@ -233,24 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
-        if args.command == "canon":
-            text = _cmd_canon(args, cfg)
-        elif args.command == "graph":
-            text = _cmd_graph(args, cfg)
-        elif args.command == "realize":
-            text = _cmd_realize(args, cfg)
-        elif args.command == "democratic":
-            handler = {
-                "matrix": _cmd_democratic_matrix,
-                "enum": _cmd_democratic_enum,
-                "count": _cmd_democratic_count,
-                "classify": _cmd_democratic_classify,
-            }[args.dem_command]
-            text = handler(args, cfg)
-        elif args.command == "calibrate":
-            text = _cmd_calibrate(args, cfg)
-        else:
-            text = _cmd_bell(args, cfg)
+        text = args.handler(args, cfg)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

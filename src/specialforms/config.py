@@ -12,18 +12,21 @@ from dataclasses import dataclass, fields
 
 from .calibration import DEFAULT_RESTARTS, DEFAULT_TOL
 from .errors import DomainError
+from .forms import DEFAULT_CANON_DIMENSION_CAP
+from .graphs import DEFAULT_AUTOMORPHISM_VERTEX_CAP
+from .realization import DEFAULT_SOLVER_VERTEX_CAP
 
 ENV_VAR = "SPECIALFORMS_CONFIG"
 
-_FORMATS = ("json", "dot", "csv")
+_FORMATS = ("json", "dot")
 
 
 @dataclass
 class RunConfig:
     seed: int = 0
-    canon_d_cap: int = 10
-    solver_r_cap: int = 8
-    autom_r_cap: int = 12
+    canon_d_cap: int = DEFAULT_CANON_DIMENSION_CAP
+    solver_r_cap: int = DEFAULT_SOLVER_VERTEX_CAP
+    autom_r_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP
     comass_tol: float = DEFAULT_TOL
     comass_restarts: int = DEFAULT_RESTARTS
     output: str | None = None

@@ -209,8 +209,8 @@ class SignedPermutation:
     eta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sigma = tuple(int(i) for i in self.sigma)
-        eta = tuple(int(e) for e in self.eta)
+        sigma = as_ints(self.sigma, "permutation images")
+        eta = as_ints(self.eta, "axis flips")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "eta", eta)
         d = len(sigma)

@@ -3,12 +3,16 @@
 The graph of a form has one vertex per term and edge labels given by the
 subset distance (degree minus overlap).  This module provides admissibility
 checks, the automorphism group of a distance matrix, the vertex-transitivity
-predicates, and the decomposition of a matrix into closed curves when every
-distance occurs exactly twice per row.
+predicates, relabeling equivalence, and the decomposition of a matrix into
+closed curves when every distance occurs exactly twice per row.
+`symmetries`, `is_democratic` and `find_relabeling` share one backtracking
+kernel, `_extend`, which tries images in ascending vertex order, so each
+returns the first witness in that order.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +23,8 @@ from .forms import SpecialForm
 
 # Automorphism searches are refused above this vertex count by default.
 DEFAULT_AUTOMORPHISM_VERTEX_CAP = 12
+
+_Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -95,41 +101,47 @@ def is_admissible(m: DistanceMatrix) -> bool:
     return True
 
 
-def _row_profiles(e: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+def _row_profiles(e: _Rows) -> list[tuple[int, ...]]:
     return [tuple(sorted(row)) for row in e]
 
 
-def _find_automorphism(
-    e: tuple[tuple[int, ...], ...],
-    prefix_len: int,
-    target: int,
-    profiles: list[tuple[int, ...]],
-) -> Optional[tuple[int, ...]]:
-    """First matrix automorphism fixing vertices < prefix_len and sending
-    prefix_len to target, or None.  Vertices are 0-based here."""
-    r = len(e)
-    if profiles[prefix_len] != profiles[target]:
-        return None
-    for v in range(prefix_len):
-        if e[prefix_len][v] != e[target][v]:
-            return None
-    image = list(range(prefix_len)) + [target]
+def _check_cap(r: int, vertex_cap: int) -> None:
+    if r > vertex_cap:
+        raise CapacityError(
+            f"automorphism search on {r} vertices exceeds the cap {vertex_cap}"
+        )
+
+
+def _extend(
+    a: _Rows, b: _Rows, pa: list[tuple], pb: list[tuple], prefix: list[int]
+) -> Optional[list[int]]:
+    """First bijection pi with b[pi(v)][pi(w)] == a[v][w] that sends each
+    vertex v < len(prefix) to prefix[v], or None.  Vertex v may only go to a
+    vertex x with the same row profile (pa[v] == pb[x]); the other images
+    are tried in ascending order.  Vertices are 0-based here."""
+    r = len(a)
     used = [False] * r
-    for x in image:
+    # Callers vary the last pinned vertex, so it is checked first.
+    for v in reversed(range(len(prefix))):
+        x = prefix[v]
+        if used[x] or pa[v] != pb[x]:
+            return None
         used[x] = True
+        for u in range(v):
+            if a[v][u] != b[x][prefix[u]]:
+                return None
+    image = list(prefix)
 
     def extend(v: int) -> bool:
         if v == r:
             return True
         for x in range(r):
-            if used[x] or profiles[v] != profiles[x]:
+            if used[x] or pa[v] != pb[x]:
                 continue
-            ok = True
             for u in range(v):
-                if e[v][u] != e[x][image[u]]:
-                    ok = False
+                if a[v][u] != b[x][image[u]]:
                     break
-            if ok:
+            else:
                 image.append(x)
                 used[x] = True
                 if extend(v + 1):
@@ -138,9 +150,7 @@ def _find_automorphism(
                 used[x] = False
         return False
 
-    if extend(prefix_len + 1):
-        return tuple(image)
-    return None
+    return image if extend(len(prefix)) else None
 
 
 @dataclass(frozen=True)
@@ -175,28 +185,21 @@ def symmetries(
     orbit member contributes one witness automorphism.  The witnesses form
     a generating set.
     """
-    if m.r > vertex_cap:
-        raise CapacityError(
-            f"automorphism search on {m.r} vertices exceeds the cap {vertex_cap}"
-        )
+    _check_cap(m.r, vertex_cap)
     e = m.entries
     profiles = _row_profiles(e)
-    order = 1
-    first_orbit = 1
+    orbits: list[int] = []
     gens: set[tuple[int, ...]] = set()
     for level in range(m.r):
-        orbit = 1
+        orbits.append(1)
         for x in range(level + 1, m.r):
-            g = _find_automorphism(e, level, x, profiles)
+            g = _extend(e, e, profiles, profiles, [*range(level), x])
             if g is not None:
-                orbit += 1
+                orbits[-1] += 1
                 gens.add(tuple(v + 1 for v in g))
-        order *= orbit
-        if level == 0:
-            first_orbit = orbit
     return SymmetryGroupReport(
-        order=order,
-        transitive=(first_orbit == m.r),
+        order=math.prod(orbits),
+        transitive=(orbits[0] == m.r),
         generators=tuple(sorted(gens)),
     )
 
@@ -205,16 +208,12 @@ def is_democratic(
     m: DistanceMatrix, *, vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP
 ) -> bool:
     """Whether the automorphism group is vertex-transitive."""
-    if m.r > vertex_cap:
-        raise CapacityError(
-            f"automorphism search on {m.r} vertices exceeds the cap {vertex_cap}"
-        )
+    _check_cap(m.r, vertex_cap)
     e = m.entries
     profiles = _row_profiles(e)
-    for x in range(1, m.r):
-        if _find_automorphism(e, 0, x, profiles) is None:
-            return False
-    return True
+    return all(
+        _extend(e, e, profiles, profiles, [x]) is not None for x in range(1, m.r)
+    )
 
 
 def is_predemocratic(m: DistanceMatrix) -> tuple[bool, Optional[dict[int, int]]]:
@@ -306,41 +305,17 @@ def find_relabeling(
     src: DistanceMatrix, dst: DistanceMatrix
 ) -> Optional[tuple[int, ...]]:
     """Vertex permutation pi (1-based images) with dst[pi(v), pi(w)] == src[v, w],
-    or None when the matrices are not relabeling-equivalent."""
+    or None when the matrices are not relabeling-equivalent.  Refused, like
+    the automorphism searches, above DEFAULT_AUTOMORPHISM_VERTEX_CAP vertices."""
     if src.r != dst.r:
         return None
+    _check_cap(src.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP)
     a, b = src.entries, dst.entries
-    if sorted(_row_profiles(a)) != sorted(_row_profiles(b)):
+    pa, pb = _row_profiles(a), _row_profiles(b)
+    if sorted(pa) != sorted(pb):
         return None
-    profiles_a = _row_profiles(a)
-    profiles_b = _row_profiles(b)
-    r = src.r
-    image: list[int] = []
-    used = [False] * r
-
-    def extend(v: int) -> bool:
-        if v == r:
-            return True
-        for x in range(r):
-            if used[x] or profiles_a[v] != profiles_b[x]:
-                continue
-            ok = True
-            for u in range(v):
-                if a[v][u] != b[x][image[u]]:
-                    ok = False
-                    break
-            if ok:
-                image.append(x)
-                used[x] = True
-                if extend(v + 1):
-                    return True
-                image.pop()
-                used[x] = False
-        return False
-
-    if extend(0):
-        return tuple(x + 1 for x in image)
-    return None
+    pi = _extend(a, b, pa, pb, [])
+    return None if pi is None else tuple(x + 1 for x in pi)
 
 
 def to_dot(m: DistanceMatrix, p: Optional[int] = None) -> str:

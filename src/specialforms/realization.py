@@ -42,10 +42,13 @@ class GraphFunction:
     values: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise DomainError(f"vertex count must be >= 1, got {self.r}")
-        if self.p < 1:
-            raise DomainError(f"degree must be >= 1, got {self.p}")
+        r, p = as_ints((self.r, self.p), "vertex count and degree")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        if r < 1:
+            raise DomainError(f"vertex count must be >= 1, got {r}")
+        if p < 1:
+            raise DomainError(f"degree must be >= 1, got {p}")
         norm = []
         for subset, val in self.values:
             subset = as_ints(subset, "subset vertices")

@@ -280,3 +280,14 @@ def graph_function_invariant(f, sigma) -> bool:
         values.get(tuple(sorted(sigma[v - 1] for v in subset)), 0) == val
         for subset, val in f.values
     )
+
+
+def brute_automorphisms(m: DistanceMatrix) -> set[tuple[int, ...]]:
+    """Every vertex permutation (1-based images) preserving the entries,
+    found by trying all r! permutations."""
+    e, r = m.entries, m.r
+    return {
+        tuple(v + 1 for v in perm)
+        for perm in itertools.permutations(range(r))
+        if all(e[perm[v]][perm[w]] == e[v][w] for v in range(r) for w in range(v))
+    }

@@ -14,7 +14,6 @@ from specialforms import (
     Frame,
     PreconditionError,
     SpecialForm,
-    calibrated_coordinate_planes,
     comass,
     evaluate,
 )
@@ -105,11 +104,10 @@ def test_evaluate_under_frame_moves():
     assert evaluate(f, swapped) == pytest.approx(-evaluate(f, Frame(base)))
 
 
-def test_calibrated_coordinate_planes_lists_support():
+def test_evaluate_is_the_sign_on_each_support_plane():
     f = form(4, 2, ((1, 2), 1), ((3, 4), -1))
-    planes = calibrated_coordinate_planes(f)
-    assert [(s.indices, g) for s, g in planes] == [((1, 2), 1), ((3, 4), -1)]
-    for s, g in planes:
+    assert [(s.indices, g) for s, g in f.terms] == [((1, 2), 1), ((3, 4), -1)]
+    for s, g in f.terms:
         assert evaluate(f, Frame.coordinate(4, s.indices)) == pytest.approx(g)
 
 

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
-from specialforms import DistanceMatrix, SpecialForm, circulant_matrix
+from specialforms import DistanceMatrix, RunConfig, SpecialForm, circulant_matrix
+from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL
 from specialforms.cli import main
+from specialforms.forms import DEFAULT_CANON_DIMENSION_CAP
+from specialforms.graphs import DEFAULT_AUTOMORPHISM_VERTEX_CAP
+from specialforms.realization import DEFAULT_SOLVER_VERTEX_CAP
 
 
 def write_json(path, obj):
@@ -241,6 +245,22 @@ def test_config_file(tmp_path, capsys):
     assert main(["--config", str(worse), "bell", "3"]) == 2
     assert main(["--config", str(tmp_path / "absent.cfg"), "bell", "3"]) == 2
     capsys.readouterr()
+
+
+def test_config_rejects_csv_format(tmp_path, capsys, form_file):
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text("format = csv\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "graph", form_file]) == 2
+    assert "format" in capsys.readouterr().err
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.canon_d_cap == DEFAULT_CANON_DIMENSION_CAP
+    assert cfg.solver_r_cap == DEFAULT_SOLVER_VERTEX_CAP
+    assert cfg.autom_r_cap == DEFAULT_AUTOMORPHISM_VERTEX_CAP
+    assert cfg.comass_tol == DEFAULT_TOL
+    assert cfg.comass_restarts == DEFAULT_RESTARTS
 
 
 def test_config_env_var_and_precedence(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import brute_canonical, random_form
@@ -172,6 +173,18 @@ def test_form_rejects_non_integers():
             SpecialForm.from_dict(bad)
     with pytest.raises(DomainError):
         OrientedSubset((3.9, 4))
+
+
+def test_signed_permutation_rejects_non_integers():
+    with pytest.raises(DomainError):
+        SignedPermutation((2.9, 1), (1, -1))
+    with pytest.raises(DomainError):
+        SignedPermutation((2, 1), (1, -1.5))
+    with pytest.raises(DomainError):
+        SignedPermutation((2, 1), (1.0, -1))
+    g = SignedPermutation(np.array([2, 1]), (np.int64(1), np.int32(-1)))
+    assert g == SignedPermutation((2, 1), (1, -1))
+    assert all(type(v) is int for v in g.sigma + g.eta)
 
 
 def test_json_round_trip():

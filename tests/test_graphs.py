@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from helpers import cayley_form, fano_matrix
+from helpers import brute_automorphisms, cayley_form, fano_matrix
 from specialforms import (
     CapacityError,
     DomainError,
@@ -22,6 +23,7 @@ from specialforms import (
     symmetries,
     to_dot,
 )
+from specialforms.graphs import _extend, _row_profiles
 
 
 def _closure(generators, r):
@@ -45,6 +47,22 @@ def _random_matrix(rng, r, value_max=3):
         for j in range(i + 1, r):
             rows[i][j] = rows[j][i] = rng.randint(1, value_max)
     return DistanceMatrix.from_rows(rows)
+
+
+def _relabel(m, perm):
+    """The matrix whose (i, j) entry is m's (perm[i], perm[j]) entry."""
+    return DistanceMatrix.from_rows(
+        [[m.entries[perm[i]][perm[j]] for j in range(m.r)] for i in range(m.r)]
+    )
+
+
+def _is_relabeling(src, dst, pi):
+    r = src.r
+    return sorted(pi) == list(range(1, r + 1)) and all(
+        dst.entries[pi[v] - 1][pi[w] - 1] == src.entries[v][w]
+        for v in range(r)
+        for w in range(r)
+    )
 
 
 def test_matrix_validation():
@@ -139,7 +157,95 @@ def test_vertex_cap():
         symmetries(m)
     with pytest.raises(CapacityError):
         is_democratic(m)
+    with pytest.raises(CapacityError):
+        find_relabeling(m, m)
     assert symmetries(m, vertex_cap=13).order == 6227020800  # 13!
+
+
+def test_searches_agree_with_brute_force_automorphisms():
+    rng = random.Random(43)
+    orders = set()
+    for _ in range(40):
+        m = _random_matrix(rng, rng.randint(1, 6), value_max=rng.randint(1, 3))
+        auts = brute_automorphisms(m)
+        rep = symmetries(m)
+        assert rep.order == len(auts)
+        assert _closure(rep.generators, m.r) == auts
+        transitive = {g[0] for g in auts} == set(range(1, m.r + 1))
+        assert rep.transitive == transitive
+        assert is_democratic(m) == transitive
+        orders.add(rep.order)
+    assert len(orders) >= 5  # the sample is not all rigid or all full
+
+
+def test_find_relabeling_agrees_with_brute_force():
+    rng = random.Random(47)
+    hits = 0
+    for _ in range(40):
+        r = rng.randint(1, 6)
+        m = _random_matrix(rng, r, value_max=rng.randint(1, 3))
+        perm = list(range(r))
+        rng.shuffle(perm)
+        relabeled = _relabel(m, perm)
+        assert _is_relabeling(m, relabeled, find_relabeling(m, relabeled))
+        other = _random_matrix(rng, r, value_max=2)
+        pi = find_relabeling(m, other)
+        exists = any(
+            _is_relabeling(m, other, q)
+            for q in itertools.permutations(range(1, r + 1))
+        )
+        assert (pi is not None) == exists
+        if pi is not None:
+            assert _is_relabeling(m, other, pi)
+            hits += 1
+    assert 0 < hits < 40
+
+
+def test_find_relabeling_separates_equal_row_profiles():
+    # distance 1 around a 6-cycle against distance 1 inside two triangles,
+    # 2 elsewhere: every row of both reads 0, 1, 1, 2, 2, 2
+    hexagon = DistanceMatrix.from_rows(
+        [[0 if i == j else 1 if (i - j) % 6 in (1, 5) else 2 for j in range(6)]
+         for i in range(6)]
+    )
+    triangles = DistanceMatrix.from_rows(
+        [[0 if i == j else 1 if i // 3 == j // 3 else 2 for j in range(6)]
+         for i in range(6)]
+    )
+    assert sorted(map(sorted, hexagon.entries)) == sorted(map(sorted, triangles.entries))
+    assert find_relabeling(hexagon, triangles) is None
+    assert find_relabeling(triangles, hexagon) is None
+    assert symmetries(hexagon).order == len(brute_automorphisms(hexagon)) == 12
+    assert symmetries(triangles).order == len(brute_automorphisms(triangles)) == 72
+
+
+def test_kernel_checks_the_pinned_prefix():
+    m = DistanceMatrix.from_rows(
+        [[0, 2, 1, 1, 1], [2, 0, 1, 2, 1], [1, 1, 0, 2, 1], [1, 2, 2, 0, 2],
+         [1, 1, 1, 2, 0]]
+    )
+    e, prof = m.entries, _row_profiles(m.entries)
+    # 1 -> 3, 2 -> 2 breaks entry (1, 2), although the rest would complete
+    assert _extend(e, e, prof, prof, [2, 1, 0, 3]) is None
+    assert _extend(e, e, prof, prof, []) == [0, 1, 2, 3, 4]
+    pentagon = circulant_matrix(2, (1, 2)).entries
+    prof = _row_profiles(pentagon)
+    assert _extend(pentagon, pentagon, prof, prof, [0, 4]) == [0, 4, 3, 2, 1]
+
+
+def test_symmetries_generators_of_fano_matrix_are_pinned():
+    # one witness per (level, target), the rest filled in ascending order
+    rep = symmetries(fano_matrix())
+    assert rep.order == 5040 and rep.transitive
+    assert rep.generators == (
+        (1, 2, 3, 4, 5, 7, 6), (1, 2, 3, 4, 6, 5, 7), (1, 2, 3, 4, 7, 5, 6),
+        (1, 2, 3, 5, 4, 6, 7), (1, 2, 3, 6, 4, 5, 7), (1, 2, 3, 7, 4, 5, 6),
+        (1, 2, 4, 3, 5, 6, 7), (1, 2, 5, 3, 4, 6, 7), (1, 2, 6, 3, 4, 5, 7),
+        (1, 2, 7, 3, 4, 5, 6), (1, 3, 2, 4, 5, 6, 7), (1, 4, 2, 3, 5, 6, 7),
+        (1, 5, 2, 3, 4, 6, 7), (1, 6, 2, 3, 4, 5, 7), (1, 7, 2, 3, 4, 5, 6),
+        (2, 1, 3, 4, 5, 6, 7), (3, 1, 2, 4, 5, 6, 7), (4, 1, 2, 3, 5, 6, 7),
+        (5, 1, 2, 3, 4, 6, 7), (6, 1, 2, 3, 4, 5, 7), (7, 1, 2, 3, 4, 5, 6),
+    )
 
 
 def test_predemocratic():

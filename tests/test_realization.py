@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -387,6 +388,16 @@ def test_graph_function_rejects_non_integers():
         )
     with pytest.raises(DomainError):
         GraphFunction.from_dict({"r": 3.0, "p": 2, "values": []})
+
+
+def test_graph_function_rejects_non_integer_r_and_p():
+    with pytest.raises(DomainError):
+        GraphFunction(3.5, 2, ())
+    with pytest.raises(DomainError):
+        GraphFunction(3, 2.0, ())
+    f = GraphFunction(np.int64(3), np.int32(2), (((1, 2), 1),))
+    assert f == GraphFunction(3, 2, (((1, 2), 1),))
+    assert type(f.r) is int and type(f.p) is int
 
 
 def test_lift_symmetry_identity_on_every_solution():
