@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, as_ints
 from .graphs import (
     DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     DistanceMatrix,
@@ -365,7 +365,7 @@ def classify_small(
             raise DomainError(f"max_distance must be >= 1, got {max_distance}")
         alpha = tuple(range(1, max_distance + 1))
     else:
-        alpha = tuple(sorted({int(a) for a in alphabet}))
+        alpha = tuple(sorted(set(as_ints(alphabet, "alphabet"))))
         if not alpha or alpha[0] < 1:
             raise DomainError(f"alphabet must contain integers >= 1, got {alpha}")
     if alpha[-1] > p:

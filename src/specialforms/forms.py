@@ -18,7 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, DomainError, as_ints
 
@@ -99,21 +99,25 @@ class SpecialForm:
     terms: tuple[tuple[OrientedSubset, int], ...]
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if not 1 <= self.p <= self.d:
-            raise DomainError(f"degree must lie in [1, {self.d}], got {self.p}")
+        d, p = as_ints((self.d, self.p), "dimension and degree")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", p)
+        if d < 1:
+            raise DomainError(f"dimension must be >= 1, got {d}")
+        if not 1 <= p <= d:
+            raise DomainError(f"degree must lie in [1, {d}], got {p}")
         norm = []
         for subset, sign in self.terms:
             if not isinstance(subset, OrientedSubset):
                 subset = OrientedSubset(tuple(subset))
+            (sign,) = as_ints((sign,), "signs")
             if sign not in (1, -1):
                 raise DomainError(f"signs must be +1 or -1, got {sign!r}")
-            if subset.degree != self.p:
-                raise DomainError(f"term {subset} does not have degree {self.p}")
-            if subset.indices[-1] > self.d:
-                raise DomainError(f"term {subset} uses an index beyond d={self.d}")
-            norm.append((subset, int(sign)))
+            if subset.degree != p:
+                raise DomainError(f"term {subset} does not have degree {p}")
+            if subset.indices[-1] > d:
+                raise DomainError(f"term {subset} uses an index beyond d={d}")
+            norm.append((subset, sign))
         norm.sort(key=lambda t: t[0].indices)
         for a, b in zip(norm, norm[1:]):
             if a[0] == b[0]:
@@ -184,7 +188,7 @@ def component(form: SpecialForm, indices: Sequence[int]) -> int:
     Repeated indices give 0; otherwise the stored sign at the sorted tuple,
     times the parity of the permutation that sorts the input.
     """
-    idx = tuple(int(i) for i in indices)
+    idx = as_ints(indices, "indices")
     if len(idx) != form.p:
         raise DomainError(f"expected {form.p} indices, got {len(idx)}")
     for i in idx:
@@ -279,17 +283,61 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 #
 # Minimising the support over all relabelings is done by placing the terms
 # one at a time as the rows of the sorted support, depth first.  A placement
-# step picks a still-unplaced term, gives fresh labels to its unlabeled
-# indices, and realises one complete row; rows must increase strictly, and a
-# realised prefix that already exceeds the incumbent's prefix is pruned.
-# Because the label images of a minimal relabeling are exactly 1..u (u =
-# number of used indices), labels are drawn from that range only.
+# step picks a still-unplaced term and a set of fresh labels for its
+# unlabeled indices, which realises one complete row; rows must increase
+# strictly, and a realised prefix that already exceeds the incumbent's
+# prefix is pruned.  The fresh labels are then handed out smallest first,
+# each to one of the term's unlabeled indices.  Because the label images of
+# a minimal relabeling are exactly 1..u (u = number of used indices), labels
+# are drawn from that range only.
 #
-# Signs are minimised afterwards, per minimal support: flipping label j
-# negates every row containing j, which is a linear action over GF(2), so
-# the reachable sign patterns form a coset and the echelon-reduced coset
-# representative is the lexicographic minimum.
+# Automorphisms of the support prune the search (McKay & Piperno, "Practical
+# graph isomorphism, II", 2014).  Let l0 be the labeling that first reaches
+# the incumbent rows.  A later leaf l that ties with them gives
+# g = l0^-1 . l, a permutation of the indices that maps the support onto
+# itself; it is stored as a generator, and the group is never listed.
+# - At each node, the generators that fix every labeled index map the node
+#   onto itself, so a child that their closure maps onto an explored sibling
+#   holds only images of leaves already seen and is skipped.
+# - g also maps the child through which l left l0's path onto l0's child
+#   there, whose subtree is done, so the search returns to that node at once.
+# Only true automorphisms prune, so every tie leaf is an explored one times
+# a product of generators, and the generators generate the whole
+# automorphism group of the support.
+#
+# Signs are minimised afterwards over that group.  Flipping label j negates
+# every row containing j, a linear action over GF(2), so sign patterns
+# matter only modulo the flip span, and a coset's least element is its
+# echelon-reduced representative.  Each generator acts on the rows of l0 as
+# a permutation plus parity bits, which maps the flip span onto itself; the
+# answer is the least reduced coset in the orbit of l0's signature under
+# these actions, an orbit of at most 2^(w - rank) cosets.
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class SearchStats:
+    """Work counters of an exhaustive search.
+
+    `nodes` counts the branch positions entered, `leaves` the nodes at which
+    every branching choice is fixed, `pruned` the branches cut by a bound or
+    an automorphism and `solutions` the results returned or, for
+    `canonicalize`, the leaves that tie the least rows.  A search adds its
+    counts to the fields, so one object can total several calls.
+    """
+
+    nodes: int = 0
+    leaves: int = 0
+    pruned: int = 0
+    solutions: int = 0
+
+
+class _Generator(NamedTuple):
+    """A support automorphism: its index map, moved indices and term map."""
+
+    points: dict[int, int]
+    moved: frozenset[int]
+    terms: tuple[int, ...]
 
 
 def _echelon_insert(basis: dict[int, int], v: int) -> None:
@@ -302,17 +350,91 @@ def _echelon_insert(basis: dict[int, int], v: int) -> None:
             return
 
 
-def _echelon_reduce(basis: dict[int, int], v: int) -> int:
-    for piv in sorted(basis, reverse=True):
-        if (v >> piv) & 1:
-            v ^= basis[piv]
-    return v
+def _orbit(start, images) -> Iterator:
+    """The elements reachable from `start`; `images(a)` lists a's images."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        a = stack.pop()
+        yield a
+        for b in images(a):
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+
+
+def _least_signature(
+    rows: tuple[tuple[int, ...], ...],
+    base: int,
+    relabelings: Iterable[dict[int, int]],
+) -> int:
+    """Least reduced coset in the relabelings' orbit of a sign pattern's coset.
+
+    Bit w-1-t of a pattern is set when row t has sign -1.  Each relabeling
+    maps the rows onto themselves.
+    """
+    if not base:
+        return 0  # the least coset there is
+    w = len(rows)
+    basis: dict[int, int] = {}
+    incidence: dict[int, int] = {}
+    for t, row in enumerate(rows):
+        for lab in row:
+            incidence[lab] = incidence.get(lab, 0) | (1 << (w - 1 - t))
+    for v in incidence.values():
+        _echelon_insert(basis, v)
+    pivots = sorted(basis.items(), reverse=True)
+
+    def reduce(v: int) -> int:
+        for piv, vec in pivots:
+            if (v >> piv) & 1:
+                v ^= vec
+        return v
+
+    least = reduce(base)
+    if not least:
+        return 0
+    index = {row: t for t, row in enumerate(rows)}
+    actions = set()  # (image of each bit, parity mask) per relabeling
+    for h in relabelings:
+        bits, mask = [0] * w, 0
+        for t, row in enumerate(rows):
+            img, par = _sorted_with_parity([h[a] for a in row])
+            bits[w - 1 - t] = 1 << (w - 1 - index[img])
+            if par < 0:
+                mask |= bits[w - 1 - t]
+        actions.add((tuple(bits), mask))
+
+    def images(v: int) -> list[int]:
+        out = []
+        for bits, mask in actions:
+            u, rest = mask, v
+            while rest:
+                low = rest & -rest
+                u ^= bits[low.bit_length() - 1]
+                rest ^= low
+            out.append(reduce(u))
+        return out
+
+    for v in _orbit(least, images):
+        least = min(least, v)
+        if not least:
+            break
+    return least
 
 
 def canonicalize(
-    form: SpecialForm, *, dimension_cap: int = DEFAULT_CANON_DIMENSION_CAP
+    form: SpecialForm,
+    *,
+    dimension_cap: int = DEFAULT_CANON_DIMENSION_CAP,
+    stats: Optional[SearchStats] = None,
 ) -> SpecialForm:
-    """Least orbit element under the signed permutation group."""
+    """Least orbit element under the signed permutation group.
+
+    `stats`, when given, receives the placement nodes entered, the leaves,
+    the branches cut because an automorphism maps them onto explored ones,
+    and the leaves that tie the least rows.
+    """
     if form.d > dimension_cap:
         raise CapacityError(
             f"canonicalization in dimension {form.d} exceeds the cap {dimension_cap}"
@@ -320,9 +442,11 @@ def canonicalize(
     w = form.weight
     if w == 0:
         return form
+    st = SearchStats() if stats is None else stats
     p = form.p
     members = [s.indices for s, _ in form.terms]
     member_sets = [frozenset(t) for t in members]
+    term_of = {s: k for k, s in enumerate(member_sets)}
     signs = [g for _, g in form.terms]
     used = sorted(set().union(*member_sets))
 
@@ -330,41 +454,75 @@ def canonicalize(
     free = set(range(1, len(used) + 1))
     placed = [False] * w
     rows: list[tuple[int, ...]] = []
-    row_term: list[int] = []
-    best: dict = {"rows": None, "sig": None, "basis": None}
-
-    def base_signature() -> int:
-        bits = 0
-        for t in range(w):
-            term = row_term[t]
-            order = sorted(member_sets[term], key=lambda x: label_of[x])
-            _, par = _sorted_with_parity(order)
-            if signs[term] * par < 0:
-                bits |= 1 << (w - 1 - t)
-        return bits
-
-    def flip_basis(rows_t: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-        incidence: dict[int, int] = {}
-        for t, row in enumerate(rows_t):
-            for lab in row:
-                incidence[lab] = incidence.get(lab, 0) | (1 << (w - 1 - t))
-        basis: dict[int, int] = {}
-        for v in incidence.values():
-            _echelon_insert(basis, v)
-        return basis
+    path: list = []  # the choice made at each branching node above
+    gens: list[_Generator] = []
+    best: dict = {"rows": None, "inverse": None, "path": None, "ties": 0, "jump": None}
 
     def finish() -> None:
+        st.leaves += 1
         rows_t = tuple(rows)
         if best["rows"] is None or rows_t < best["rows"]:
             best["rows"] = rows_t
-            best["basis"] = flip_basis(rows_t)
-            best["sig"] = _echelon_reduce(best["basis"], base_signature())
+            best["inverse"] = {lab: x for x, lab in label_of.items()}
+            best["path"] = list(path)
+            best["ties"] = 1
         elif rows_t == best["rows"]:
-            sig = _echelon_reduce(best["basis"], base_signature())
-            if sig < best["sig"]:
-                best["sig"] = sig
+            points = {x: best["inverse"][lab] for x, lab in label_of.items()}
+            moved = frozenset(x for x, y in points.items() if x != y)
+            terms = tuple(
+                term_of[frozenset(points[x] for x in members[k])] for k in range(w)
+            )
+            gens.append(_Generator(points, moved, terms))
+            best["ties"] += 1
+            # back to the node where this path leaves l0's, see above
+            best["jump"] = next(
+                k for k, (a, b) in enumerate(zip(path, best["path"])) if a != b
+            )
+            st.pruned += 1
+
+    def jumped() -> bool:
+        """After a child returns: whether to leave this node's other children."""
+        if best["jump"] is None:
+            return False
+        if best["jump"] < len(path):
+            return True
+        best["jump"] = None
+        return False
+
+    def meets(item: int, explored, maps: list) -> bool:
+        """Whether the maps' closure takes item to an explored sibling."""
+        if any(a in explored for a in _orbit(item, lambda a: [m[a] for m in maps])):
+            st.pruned += 1
+            return True
+        return False
+
+    def assign(t: int, term: int, need: list[int], labs: tuple[int, ...]) -> None:
+        """Hand out `labs` smallest first to the unlabeled indices `need`."""
+        if len(need) < 2:
+            label_of.update(zip(need, labs))
+            place(t + 1)
+            for x in need:
+                del label_of[x]
+            return
+        explored: set[int] = set()
+        for x in need:
+            if explored and gens and meets(x, explored, [
+                g.points
+                for g in gens
+                if g.terms[term] == term and g.moved.isdisjoint(label_of)
+            ]):
+                continue
+            explored.add(x)
+            label_of[x] = labs[0]
+            path.append(x)
+            assign(t, term, [y for y in need if y != x], labs[1:])
+            path.pop()
+            del label_of[x]
+            if jumped():
+                return
 
     def place(t: int) -> None:
+        st.nodes += 1
         if t == w:
             finish()
             return
@@ -382,33 +540,48 @@ def canonicalize(
                 for combo in itertools.combinations(free_sorted, len(need)):
                     cands.append((tuple(sorted(fixed + list(combo))), term, combo))
         cands.sort()
+        explored: dict[tuple[int, ...], set[int]] = {}
         for tup, term, combo in cands:
             if prev is not None and tup <= prev:
                 continue
             b = best["rows"]
             if b is not None and list(b[:t]) == rows and tup > b[t]:
                 break  # candidates are sorted; nothing below can beat the incumbent
-            need = [x for x in members[term] if x not in label_of]
+            if combo in explored and gens and meets(term, explored[combo], [
+                g.terms for g in gens if g.moved.isdisjoint(label_of)
+            ]):
+                continue
+            explored.setdefault(combo, set()).add(term)
             placed[term] = True
             rows.append(tup)
-            row_term.append(term)
             free.difference_update(combo)
-            for labs in itertools.permutations(combo):
-                for x, lab in zip(need, labs):
-                    label_of[x] = lab
-                place(t + 1)
-                for x in need:
-                    del label_of[x]
+            path.append((term, combo))
+            assign(t, term, [x for x in members[term] if x not in label_of], combo)
+            path.pop()
             free.update(combo)
             rows.pop()
-            row_term.pop()
             placed[term] = False
+            if jumped():
+                return
 
     place(0)
-    sig = best["sig"]
+    best_rows, inverse = best["rows"], best["inverse"]
+    labels = {x: lab for lab, x in inverse.items()}
+    base = 0
+    for t, row in enumerate(best_rows):
+        term = [inverse[a] for a in row]
+        _, par = _sorted_with_parity(term)
+        if signs[term_of[frozenset(term)]] * par < 0:
+            base |= 1 << (w - 1 - t)
+    sig = _least_signature(
+        best_rows,
+        base,
+        ({lab: labels[g.points[x]] for x, lab in labels.items()} for g in gens),
+    )
+    st.solutions += best["ties"]
     terms = tuple(
         (OrientedSubset(row), -1 if (sig >> (w - 1 - t)) & 1 else 1)
-        for t, row in enumerate(best["rows"])
+        for t, row in enumerate(best_rows)
     )
     return SpecialForm(form.d, p, terms)
 

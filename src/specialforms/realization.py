@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, PreconditionError, as_ints
-from .forms import OrientedSubset, SpecialForm, _echelon_insert
+from .forms import OrientedSubset, SearchStats, SpecialForm, _echelon_insert
 from .graphs import DistanceMatrix, is_admissible
 
 # Exhaustive weight-function search is refused above this vertex count.
@@ -75,7 +75,7 @@ class GraphFunction:
         return sum(v for _, v in self.values)
 
     def value(self, subset: Iterable[int]) -> int:
-        key = tuple(sorted(int(v) for v in subset))
+        key = tuple(sorted(as_ints(subset, "subset vertices")))
         for s, v in self.values:
             if s == key:
                 return v
@@ -139,22 +139,6 @@ class GraphFunction:
             return cls(operator.index(data["r"]), operator.index(data["p"]), values)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed graph function object: {exc}") from exc
-
-
-@dataclass
-class SearchStats:
-    """Work counters of an exhaustive search.
-
-    `nodes` counts the branch positions entered, `leaves` the nodes at which
-    every branching choice is fixed, `pruned` the nodes cut by a bound and
-    `solutions` the results returned.  A search adds its counts to the
-    fields, so one object can total several calls.
-    """
-
-    nodes: int = 0
-    leaves: int = 0
-    pruned: int = 0
-    solutions: int = 0
 
 
 def solve(

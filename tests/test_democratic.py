@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import random_two_factorization, set_partitions
@@ -219,6 +220,15 @@ def test_classify_validation():
         classify_small(5, 2)  # no alphabet given
     with pytest.raises(DomainError):
         classify_small(5, 2, 3)  # distance 3 cannot occur in degree 2
+
+
+def test_classify_rejects_a_non_integer_alphabet():
+    with pytest.raises(DomainError):
+        classify_small(5, 2, alphabet=[1.9, 2])
+    with pytest.raises(DomainError):
+        classify_small(5, 2, alphabet=[1.0, 2])
+    cat = classify_small(5, 2, alphabet=np.array([2, 1]))
+    assert cat.to_dict() == classify_small(5, 2, alphabet=(1, 2)).to_dict()
 
 
 def test_democratic_samples_on_nine_vertices_match_known_families():

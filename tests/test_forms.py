@@ -5,12 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_canonical, random_form
+from helpers import brute_canonical, cayley_form, random_form
 from specialforms import (
     CapacityError,
     DomainError,
     OrientedSubset,
+    SearchStats,
     SignedPermutation,
     SpecialForm,
     apply,
@@ -151,6 +154,108 @@ def test_canonicalize_dimension_cap():
     assert canonicalize(f, dimension_cap=11) == form(11, 2, ((1, 2), 1))
 
 
+def test_canonicalize_search_stats_on_the_cayley_form():
+    stats = SearchStats()
+    canonicalize(cayley_form(), stats=stats)
+    assert stats == SearchStats(nodes=45, leaves=6, pruned=11, solutions=6)
+    # without automorphism pruning the search enters 1,219 nodes
+    assert stats.nodes * 10 <= 1219
+    canonicalize(cayley_form(), stats=stats)
+    assert stats == SearchStats(nodes=90, leaves=12, pruned=22, solutions=12)
+
+
+def _flip_one_sign(f: SpecialForm, k: int) -> SpecialForm:
+    terms = list(f.terms)
+    terms[k] = (terms[k][0], -terms[k][1])
+    return SpecialForm(f.d, f.p, tuple(terms))
+
+
+def _seeded_full_form(d: int, p: int, seed: int) -> SpecialForm:
+    rng = random.Random(seed)
+    subsets = itertools.combinations(range(1, d + 1), p)
+    return form(d, p, *((s, rng.choice((1, -1))) for s in subsets))
+
+
+# Canonical forms pinned from the exhaustive search without automorphism
+# pruning; the pruned search must reproduce them exactly.
+PINNED_CANONICAL = {
+    "cayley": (cayley_form(), "e123 + e145 + e167 + e246 - e257 - e347 - e356"),
+    "cayley, one sign flipped": (
+        _flip_one_sign(cayley_form(), 3),
+        "e123 + e145 + e167 + e246 + e257 + e347 + e356",
+    ),
+    "e1234567": (form(7, 7, ((1, 2, 3, 4, 5, 6, 7), 1)), "e1234567"),
+    "full 2-form on 6 indices": (
+        _seeded_full_form(6, 2, 2),
+        "e12 + e13 + e14 + e15 + e16 + e23 + e24 + e25 + e26 + e34 + e35 - e36"
+        " + e45 + e46 + e56",
+    ),
+    "full 3-form on 7 indices": (
+        _seeded_full_form(7, 3, 3),
+        "e123 + e124 + e125 + e126 + e127 + e134 + e135 + e136 + e137 + e145"
+        " + e146 + e147 + e156 - e157 + e167 + e234 + e235 + e236 - e237 + e245"
+        " + e246 - e247 - e256 + e257 - e267 - e345 + e346 - e347 + e356 + e357"
+        " + e367 - e456 - e457 - e467 + e567",
+    ),
+    "five disjoint planes": (
+        form(10, 2, ((1, 2), 1), ((3, 4), 1), ((5, 6), 1), ((7, 8), -1), ((9, 10), 1)),
+        "e12 + e34 + e56 + e78 + e(9,10)",
+    ),
+    # Pruning with automorphisms that move a labeled index gives a wrong
+    # support on these two.
+    "2-form on 7 indices": (
+        form(7, 2, ((2, 4), -1), ((2, 5), 1), ((2, 6), -1), ((2, 7), -1),
+             ((3, 4), 1), ((3, 6), -1), ((3, 7), 1), ((4, 7), 1), ((5, 6), 1),
+             ((6, 7), 1)),
+        "e12 + e13 + e14 + e15 + e23 + e24 + e26 + e35 + e36 - e45",
+    ),
+    "3-form on 6 indices": (
+        form(6, 3, ((1, 2, 4), 1), ((1, 2, 5), -1), ((1, 2, 6), 1), ((1, 3, 5), -1),
+             ((1, 5, 6), -1), ((2, 3, 5), -1), ((2, 3, 6), 1), ((2, 4, 5), -1),
+             ((4, 5, 6), 1)),
+        "e123 + e124 + e125 + e134 + e136 + e156 + e235 - e236 - e246",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CANONICAL)
+def test_canonicalize_pinned_outputs(name):
+    f, expected = PINNED_CANONICAL[name]
+    c = canonicalize(f)
+    assert str(c) == expected
+    rng = random.Random(41)
+    for _ in range(3):
+        assert canonicalize(apply(SignedPermutation.random(f.d, rng), f)) == c
+
+
+def test_one_flipped_sign_leaves_the_cayley_orbit():
+    f = cayley_form()
+    for k in range(f.weight):
+        assert not orbit_equivalent(f, _flip_one_sign(f, k))
+
+
+@st.composite
+def forms_with_group_elements(draw):
+    d = draw(st.integers(1, 6))
+    p = draw(st.integers(1, d))
+    subsets = list(itertools.combinations(range(1, d + 1), p))
+    support = draw(st.lists(st.sampled_from(subsets), max_size=10, unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(support),
+                          max_size=len(support)))
+    sigma = draw(st.permutations(range(1, d + 1)))
+    eta = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    return form(d, p, *zip(support, signs)), SignedPermutation(tuple(sigma), tuple(eta))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(forms_with_group_elements())
+def test_canonicalize_property_invariant_and_idempotent(case):
+    f, g = case
+    c = canonicalize(f)
+    assert canonicalize(apply(g, f)) == c
+    assert canonicalize(c) == c
+
+
 def test_orbit_equivalent():
     assert orbit_equivalent(form(4, 2, ((1, 2), 1), ((3, 4), 1)),
                             form(4, 2, ((1, 2), 1), ((3, 4), -1)))
@@ -173,6 +278,35 @@ def test_form_rejects_non_integers():
             SpecialForm.from_dict(bad)
     with pytest.raises(DomainError):
         OrientedSubset((3.9, 4))
+
+
+def test_form_rejects_non_integer_dimension_and_degree():
+    with pytest.raises(DomainError):
+        SpecialForm(4.5, 2.0, ())
+    with pytest.raises(DomainError):
+        SpecialForm(4, 2.0, ())
+    f = SpecialForm(np.int64(4), np.int32(2), ())
+    assert (f.d, f.p) == (4, 2)
+    assert type(f.d) is int and type(f.p) is int
+
+
+def test_form_rejects_a_non_integer_sign():
+    with pytest.raises(DomainError):
+        form(4, 2, ((1, 2), 1.0))
+    with pytest.raises(DomainError):
+        SpecialForm(4, 2, ((OrientedSubset((1, 2)), -1.0),))
+    f = form(4, 2, ((1, 2), np.int64(-1)))
+    assert f == form(4, 2, ((1, 2), -1))
+    assert type(f.terms[0][1]) is int
+
+
+def test_component_rejects_non_integer_indices():
+    f = form(4, 2, ((1, 2), 1))
+    with pytest.raises(DomainError):
+        component(f, (1.5, 2.9))
+    with pytest.raises(DomainError):
+        component(f, (1.0, 2))
+    assert component(f, np.array([2, 1])) == -1
 
 
 def test_signed_permutation_rejects_non_integers():

@@ -400,6 +400,16 @@ def test_graph_function_rejects_non_integer_r_and_p():
     assert type(f.r) is int and type(f.p) is int
 
 
+def test_graph_function_value_rejects_non_integer_vertices():
+    f = GraphFunction(3, 2, (((1, 2), 1),))
+    with pytest.raises(DomainError):
+        f.value([1.5, 2.7])
+    with pytest.raises(DomainError):
+        f.value([1.0, 2])
+    assert f.value(np.array([2, 1])) == 1
+    assert f.value((np.int64(1), 3)) == 0
+
+
 def test_lift_symmetry_identity_on_every_solution():
     for f in itertools.islice(iter(solve(fano_matrix(), 3)), 5):
         perm = lift_symmetry(f, tuple(range(1, 8)))
