@@ -89,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = dem_sub.add_parser("count", help="number of symmetry families")
     p_count.add_argument("r", type=int)
 
-    p_cls = dem_sub.add_parser("classify", help="enumerate and classify n_a = 2 matrices")
+    p_cls = dem_sub.add_parser(
+        "classify", help="classify the matrices whose rows share one value set, "
+        "each value twice")
     p_cls.add_argument("r", type=int)
     p_cls.add_argument("--p", type=int, required=True, dest="p")
     p_cls.add_argument("--max-distance", type=int, default=None)

@@ -3,26 +3,34 @@
 A matrix is democratic when its automorphism group is vertex-transitive.
 Difference constructions over cyclic groups and their products give the
 standard families; `classify_small` exhaustively enumerates the candidates
-with every distance twice per row for small odd prime vertex counts and
-checks that each democratic one is a relabeled circulant.
+whose rows all hold the same values, each twice, for small odd prime vertex
+counts and checks that each democratic one is a relabeled circulant.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, DomainError, as_ints
+from .forms import SearchStats
 from .graphs import (
     DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     DistanceMatrix,
     find_relabeling,
     is_democratic,
 )
+
+# classify_small: candidates per set of (r - 1) / 2 values, the cap on all of
+# them (on 3 and 5 vertices each is a ~1 KB catalog entry), rows 0 per block.
+CANDIDATES_PER_VALUE_SET = {3: 1, 5: 12, 7: 13950}
+MAX_CANDIDATES = 200_000
+BLOCK_SIZE = 16
 
 
 def circulant_matrix(n: int, distances: Sequence[int]) -> DistanceMatrix:
@@ -33,7 +41,7 @@ def circulant_matrix(n: int, distances: Sequence[int]) -> DistanceMatrix:
     """
     if n < 1:
         raise DomainError(f"need n >= 1 cyclic distances, got {n}")
-    dist = tuple(int(x) for x in distances)
+    dist = as_ints(distances, "distances")
     if len(dist) != n:
         raise DomainError(f"expected {n} distances, got {len(dist)}")
     if any(x < 1 for x in dist):
@@ -57,7 +65,7 @@ def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
     """
     if r < 2 or r % 2 != 0:
         raise DomainError(f"vertex count must be even and >= 2, got {r}")
-    dist = tuple(int(x) for x in distances)
+    dist = as_ints(distances, "distances")
     if len(dist) != r - 1:
         raise DomainError(f"expected {r - 1} distances, got {len(dist)}")
     if any(x < 1 for x in dist):
@@ -82,7 +90,7 @@ class Factorization:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(sorted((int(x) for x in self.factors), reverse=True))
+        factors = tuple(sorted(as_ints(self.factors, "factors"), reverse=True))
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise DomainError("factorization must have at least one factor")
@@ -107,12 +115,11 @@ class DistanceAssignment:
     values: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(int(x) for x in self.factors)
+        factors = as_ints(self.factors, "factors")
         object.__setattr__(self, "factors", factors)
-        vals = tuple(
-            (tuple(int(x) for x in rep), int(v)) for rep, v in self.values
-        )
-        vals = tuple(sorted(vals))
+        orbits = [as_ints(rep, "difference orbits") for rep, _ in self.values]
+        dist = as_ints((v for _, v in self.values), "distances")
+        vals = tuple(sorted(zip(orbits, dist)))
         object.__setattr__(self, "values", vals)
         reps = self.orbit_representatives(factors)
         if tuple(rep for rep, _ in vals) != reps:
@@ -144,7 +151,7 @@ class DistanceAssignment:
     ) -> "DistanceAssignment":
         """Values assigned to the sorted orbit representatives, in order."""
         reps = cls.orbit_representatives(factors)
-        dist = tuple(int(x) for x in distances)
+        dist = as_ints(distances, "distances")
         if len(dist) != len(reps):
             raise DomainError(
                 f"expected {len(reps)} distances for factors {tuple(factors)}, "
@@ -157,7 +164,7 @@ class DistanceAssignment:
         return dict(self.values)
 
     def value(self, delta: Sequence[int]) -> int:
-        delta = tuple(int(x) % n for x, n in zip(delta, self.factors))
+        delta = tuple(x % n for x, n in zip(as_ints(delta, "difference"), self.factors))
         neg = tuple((n - x) % n for x, n in zip(delta, self.factors))
         return self._lookup[min(delta, neg)]
 
@@ -312,28 +319,41 @@ class ClassificationCatalog:
         }
 
 
-def _triangle_profiles_equal(m: DistanceMatrix) -> bool:
-    """Necessary condition for vertex transitivity: every vertex sees the
-    same multiset of labeled triangles."""
-    e = m.entries
-    r = m.r
-    ref = None
-    for v in range(r):
-        others = [x for x in range(r) if x != v]
-        c: Counter = Counter()
-        for ai, a in enumerate(others):
-            for b in others[ai + 1 :]:
-                lo, hi = sorted((e[v][a], e[v][b]))
-                c[(lo, hi, e[a][b])] += 1
-        if ref is None:
-            ref = c
-        elif c != ref:
-            return False
-    return True
+def _first_rows(r: int, q: int, size: int, stats: SearchStats) -> np.ndarray:
+    """Every completed row 0 over the alphabet ranks, in search order.
+
+    A child closes a value its parent holds once, or opens an unused one
+    while the parent holds fewer than q values (with 2q slots, that leaves a
+    slot for each value held once).  Only the children are built."""
+    ranks = np.arange(size, dtype=np.min_scalar_type(size))
+    rows = np.zeros((1, 0), ranks.dtype)
+    for _ in range(r - 1):
+        count = (rows[:, :, None] == rows[:, None, :]).sum(2)
+        distinct = (count == 1).sum(1) + (count == 2).sum(1) // 2
+        opens = np.flatnonzero(distinct < q)
+        open_parent, open_val = opens.repeat(size), np.tile(ranks, len(opens))
+        unused = ~(rows[open_parent] == open_val[:, None]).any(1)
+        close_parent, col = np.nonzero(count == 1)
+        parent = np.concatenate([open_parent[unused], close_parent])
+        val = np.concatenate([open_val[unused], rows[close_parent, col]])
+        order = np.lexsort((val, parent))
+        stats.nodes += len(order)
+        stats.pruned += len(rows) * size - len(order)
+        rows = np.column_stack([rows[parent[order]], val[order]])
+    return rows
 
 
-def _is_odd_prime(r: int) -> bool:
-    return r > 2 and r % 2 == 1 and all(r % f for f in range(3, int(r**0.5) + 1, 2))
+def _same_triangles(m: np.ndarray, q: int) -> np.ndarray:
+    """Which matrices of ranks below q (diagonals unread) show every vertex
+    the same multiset of triangles (shorter and longer side at the vertex,
+    opposite side): a necessary condition for vertex transitivity."""
+    r = m.shape[1]
+    v = np.arange(r)[:, None]
+    a, b = (v + 1 + np.array(np.triu_indices(r - 1, 1))[:, None]) % r
+    va, vb = m[:, v, a], m[:, v, b]
+    key = (np.minimum(va, vb) * q + np.maximum(va, vb)) * q + m[:, a, b]
+    key.sort(axis=2)
+    return (key == key[:, :1]).all(axis=(1, 2))
 
 
 def classify_small(
@@ -343,17 +363,29 @@ def classify_small(
     *,
     alphabet: Optional[Sequence[int]] = None,
     vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+    stats: Optional[SearchStats] = None,
 ) -> ClassificationCatalog:
     """Enumerate and classify the n_a = 2 candidates on r vertices.
 
-    Candidates are the symmetric matrices over the alphabet in which every
-    row contains (r - 1) / 2 distinct values, each exactly twice.  Each
-    democratic candidate is matched against the circulants on the same
-    value set; the theorem_verified flag records whether all of them
-    matched.
+    Candidates are the symmetric matrices over the alphabet whose rows all
+    hold the same q = (r - 1) / 2 values, each exactly twice; no democratic
+    matrix is lost, as an automorphism maps row v onto row sigma(v), so a
+    vertex-transitive matrix has equal row multisets.  Their number,
+    C(|alphabet|, q) * CANDIDATES_PER_VALUE_SET[r], must not exceed
+    MAX_CANDIDATES (CapacityError).  The upper triangle is filled row by
+    row, values ascending, so candidates come in lexicographic order: row 0
+    level by level over the alphabet, then blocks of BLOCK_SIZE completed
+    rows 0 over their own values as int8 ranks, keeping the children whose
+    two rows hold the value at most once.  A vectorised triangle-profile
+    filter runs per block; only its survivors become DistanceMatrix objects
+    and are tested for democracy and matched against the circulants on
+    their value set (theorem_verified: all matched).  `stats` gains the
+    prefixes entered, root included, as nodes, rejected value choices as
+    pruned, candidates as leaves and catalog entries as solutions.
     """
-    if r not in (3, 5, 7):
-        if _is_odd_prime(r):
+    r, p = as_ints((r, p), "vertex count and degree")
+    if r not in CANDIDATES_PER_VALUE_SET:
+        if r > 2 and r % 2 and all(r % f for f in range(3, int(r**0.5) + 1, 2)):
             raise CapacityError(f"classification on {r} vertices exceeds the cap 7")
         raise DomainError(f"classification needs an odd prime vertex count, got {r}")
     if p < 1:
@@ -361,87 +393,53 @@ def classify_small(
     if alphabet is None:
         if max_distance is None:
             raise DomainError("either max_distance or alphabet is required")
-        if max_distance < 1:
+        alpha = range(1, as_ints((max_distance,), "max_distance")[0] + 1)
+        if not alpha:
             raise DomainError(f"max_distance must be >= 1, got {max_distance}")
-        alpha = tuple(range(1, max_distance + 1))
     else:
         alpha = tuple(sorted(set(as_ints(alphabet, "alphabet"))))
         if not alpha or alpha[0] < 1:
             raise DomainError(f"alphabet must contain integers >= 1, got {alpha}")
     if alpha[-1] > p:
-        raise DomainError(
-            f"distances up to {alpha[-1]} cannot occur in degree p={p}"
-        )
-
+        raise DomainError(f"distances up to {alpha[-1]} cannot occur in degree p={p}")
     q = (r - 1) // 2
-    positions = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    e = [[0] * r for _ in range(r)]
-    counts: list[Counter] = [Counter() for _ in range(r)]
-    filled = [0] * r
-    ones = [0] * r
-    distinct = [0] * r
-    candidates: list[DistanceMatrix] = []
+    expected = math.comb(len(alpha), q) * CANDIDATES_PER_VALUE_SET[r]
+    if expected > MAX_CANDIDATES:
+        raise CapacityError(f"{expected} candidates exceed the cap {MAX_CANDIDATES}")
+    stats = stats or SearchStats()
+    stats.nodes += 1
 
-    def row_ok_after(i: int) -> bool:
-        # prune: every half-open value still needs a slot; value variety <= q
-        remaining = (r - 1) - filled[i]
-        return ones[i] <= remaining and distinct[i] <= q
-
-    def put(i: int, val: int) -> bool:
-        if counts[i][val] >= 2:
-            return False
-        counts[i][val] += 1
-        filled[i] += 1
-        if counts[i][val] == 1:
-            ones[i] += 1
-            distinct[i] += 1
-        else:
-            ones[i] -= 1
-        return True
-
-    def unput(i: int, val: int) -> None:
-        if counts[i][val] == 1:
-            ones[i] -= 1
-            distinct[i] -= 1
-            del counts[i][val]
-        else:
-            counts[i][val] -= 1
-            ones[i] += 1
-        filled[i] -= 1
-
-    def place(k: int) -> None:
-        if k == len(positions):
-            candidates.append(
-                DistanceMatrix.from_rows([row[:] for row in e])
-            )
-            return
-        i, j = positions[k]
-        allowed = tuple(sorted(counts[0])) if filled[0] == r - 1 else alpha
-        for val in allowed:
-            if counts[i][val] >= 2 or counts[j][val] >= 2:
-                continue
-            put(i, val)
-            put(j, val)
-            e[i][j] = e[j][i] = val
-            ok = row_ok_after(i) and row_ok_after(j)
-            if ok and filled[i] == r - 1:
-                ok = ones[i] == 0 and distinct[i] == q
-            if ok and filled[j] == r - 1:
-                ok = ones[j] == 0 and distinct[j] == q
-            if ok:
-                place(k + 1)
-            unput(j, val)
-            unput(i, val)
-        e[i][j] = e[j][i] = 0
-
-    place(0)
+    iu, ju = np.triu_indices(r, 1)
+    pos = np.full((r, r), -1)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    levels = [(pos[i, np.r_[:i, i + 1 : j]], pos[j, :i]) for i, j in zip(iu, ju) if i]
+    first = _first_rows(r, q, len(alpha), stats)
+    value_sets = np.sort(first, axis=1)[:, ::2]
+    local = (first[:, :, None] > value_sets[:, None, :]).sum(2, dtype=np.int8)
+    ranks, values = np.arange(q, dtype=np.int8), np.array(alpha)
+    candidates, candidate_count = [], 0
+    for lo in range(0, len(first), BLOCK_SIZE):
+        upper = local[lo : lo + BLOCK_SIZE]
+        owner = np.arange(lo, lo + len(upper))
+        for row_i, row_j in levels:
+            room = (upper[:, row_i, None] == ranks).sum(1) < 2
+            room &= (upper[:, row_j, None] == ranks).sum(1) < 2
+            parent, val = np.nonzero(room)
+            stats.nodes += len(parent)
+            stats.pruned += room.size - len(parent)
+            upper = np.column_stack([upper[parent], val.astype(np.int8)])
+            owner = owner[parent]
+        candidate_count += len(upper)
+        keep = _same_triangles(upper[:, pos], q)
+        ranked = np.take_along_axis(value_sets[owner[keep]], upper[keep], axis=1)
+        full = np.pad(values[ranked], ((0, 0), (0, 1)))[:, pos]
+        candidates.extend(map(DistanceMatrix.from_rows, full.tolist()))
+    stats.leaves += candidate_count
 
     entries: list[CatalogEntry] = []
     verified = True
     target_cache: dict[tuple[int, ...], list] = {}
     for cand in candidates:
-        if not _triangle_profiles_equal(cand):
-            continue
         if not is_democratic(cand, vertex_cap=vertex_cap):
             continue
         used = cand.distances()
@@ -460,12 +458,13 @@ def classify_small(
             verified = False
             match = CatalogEntry(matrix=cand, distances=None, witness=None)
         entries.append(match)
+    stats.solutions += len(entries)
 
     return ClassificationCatalog(
         r=r,
         p=p,
-        alphabet=alpha,
-        candidate_count=len(candidates),
+        alphabet=tuple(alpha),
+        candidate_count=candidate_count,
         entries=tuple(entries),
         theorem_verified=verified,
     )

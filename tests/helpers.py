@@ -7,6 +7,7 @@ search machinery, so tests compare two genuinely different computations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from specialforms import (
     DistanceMatrix,
@@ -291,3 +292,32 @@ def brute_automorphisms(m: DistanceMatrix) -> set[tuple[int, ...]]:
         for perm in itertools.permutations(range(r))
         if all(e[perm[v]][perm[w]] == e[v][w] for v in range(r) for w in range(v))
     }
+
+
+# ---------------------------------------------------------------------------
+# Brute-force democratic classification (oracle for classify_small).
+# ---------------------------------------------------------------------------
+
+
+def brute_classify(r: int, alphabet) -> tuple[int, list[DistanceMatrix]]:
+    """Candidate count and democratic candidates, in order, by trying every
+    symmetric matrix over the alphabet in lexicographic upper-triangle
+    order.  A candidate's rows all hold one set of (r - 1) / 2 values, each
+    twice; it is democratic when its automorphisms move vertex 1 anywhere."""
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    count, democratic = 0, []
+    for vals in itertools.product(sorted(alphabet), repeat=len(pairs)):
+        rows = [[0] * r for _ in range(r)]
+        for (i, j), v in zip(pairs, vals):
+            rows[i][j] = rows[j][i] = v
+        profiles = {
+            frozenset(Counter(row[:i] + row[i + 1 :]).items())
+            for i, row in enumerate(rows)
+        }
+        if len(profiles) != 1 or any(n != 2 for _, n in min(profiles)):
+            continue
+        count += 1
+        m = DistanceMatrix.from_rows(rows)
+        if {perm[0] for perm in brute_automorphisms(m)} == set(range(1, r + 1)):
+            democratic.append(m)
+    return count, democratic

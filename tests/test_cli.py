@@ -165,6 +165,7 @@ def test_democratic_classify(capsys):
     assert json.loads(capsys.readouterr().out) == out
     assert main(["democratic", "classify", "9", "--p", "3", "--max-distance", "3"]) == 2
     assert main(["democratic", "classify", "11", "--p", "5", "--max-distance", "5"]) == 3
+    assert main(["democratic", "classify", "7", "--p", "10", "--max-distance", "10"]) == 3
     capsys.readouterr()
 
 

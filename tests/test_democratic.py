@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import random_two_factorization, set_partitions
+from helpers import brute_classify, random_two_factorization, set_partitions
+from specialforms import democratic
 from specialforms import (
     CapacityError,
     DistanceAssignment,
     DistanceMatrix,
     DomainError,
     Factorization,
+    SearchStats,
     bell,
     circulant_matrix,
     classify_small,
@@ -229,6 +235,131 @@ def test_classify_rejects_a_non_integer_alphabet():
         classify_small(5, 2, alphabet=[1.0, 2])
     cat = classify_small(5, 2, alphabet=np.array([2, 1]))
     assert cat.to_dict() == classify_small(5, 2, alphabet=(1, 2)).to_dict()
+
+
+@pytest.mark.parametrize(
+    "args, counts",
+    [
+        ((7, 3, 3), (185539, 13950, 329229, 720)),
+        ((5, 2, 2), (109, 12, 86, 12)),
+        ((5, 3, 3), (319, 36, 279, 36)),
+        ((3, 2, 2), (7, 2, 2, 2)),
+        ((7, 3, 2), (19, 0, 20, 0)),
+    ],
+)
+def test_classify_stats_walk_the_recursive_search_tree(args, counts):
+    """Counts taken on a one-call-per-node recursive search of the same
+    tree: equal node counts show that the level-wise enumeration walks it."""
+    stats = SearchStats()
+    cat = classify_small(*args, stats=stats)
+    assert (stats.nodes, stats.leaves, stats.pruned, stats.solutions) == counts
+    assert (cat.candidate_count, len(cat.entries)) == (counts[1], counts[3])
+    classify_small(*args, stats=stats)
+    assert stats.nodes == 2 * counts[0] and stats.solutions == 2 * counts[3]
+
+
+@pytest.mark.parametrize(
+    "r, p, alphabet", [(3, 2, (1, 2)), (5, 2, (1, 2)), (5, 3, (1, 2, 3))]
+)
+def test_classify_matches_brute_force(r, p, alphabet):
+    count, democratic_matrices = brute_classify(r, alphabet)
+    cat = classify_small(r, p, alphabet=alphabet)
+    assert cat.candidate_count == count
+    assert [e.matrix for e in cat.entries] == democratic_matrices
+
+
+def test_classify_seven_vertices_output_is_pinned():
+    data = json.dumps(classify_small(7, 3, 3).to_dict()).encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "25329481ef6d88828556bf2e4d5b78692ca17d4aa0aa6ac4ed1dcb1c0e153c14"
+    )
+
+
+def test_classify_refuses_too_many_candidates_before_enumerating(monkeypatch):
+    start = time.perf_counter()
+    for args, kw in (
+        ((7, 10, 10), {}),  # C(10, 3) * 13,950 candidates
+        ((7, 9), {"alphabet": range(1, 10)}),
+        ((5, 10**9, 10**9), {}),
+        ((3, 10**12, 10**12), {}),
+    ):
+        with pytest.raises(CapacityError):
+            classify_small(*args, **kw)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(democratic, "MAX_CANDIDATES", 36)
+    assert classify_small(5, 3, 3).candidate_count == 36
+    with pytest.raises(CapacityError):
+        classify_small(5, 4, 4)  # 72 candidates
+
+
+def _loop_triangle_profiles_equal(entries) -> bool:
+    r = len(entries)
+    profiles = []
+    for v in range(r):
+        others = [x for x in range(r) if x != v]
+        profiles.append(
+            Counter(
+                (*sorted((entries[v][a], entries[v][b])), entries[a][b])
+                for a, b in itertools.combinations(others, 2)
+            )
+        )
+    return all(c == profiles[0] for c in profiles)
+
+
+def test_triangle_filter_matches_a_loop_reference():
+    rng = random.Random(61)
+    mats = []
+    for perm in itertools.permutations((1, 2, 3)):
+        sigma = list(range(7))
+        rng.shuffle(sigma)
+        e = circulant_matrix(3, perm).entries
+        mats.append([[e[sigma[v]][sigma[w]] for w in range(7)] for v in range(7)])
+    while len(mats) < 200:
+        classes = random_two_factorization(rng, 7)
+        if classes is None:
+            continue
+        rows = [[0] * 7 for _ in range(7)]
+        for dist, cls in enumerate(classes, start=1):
+            for edge in cls:
+                a, b = sorted(edge)
+                rows[a][b] = rows[b][a] = dist
+        mats.append(rows)
+    got = democratic._same_triangles(np.array(mats, dtype=np.int8) - 1, 3).tolist()
+    assert got == [_loop_triangle_profiles_equal(m) for m in mats]
+    assert 6 <= sum(got) < len(mats)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: circulant_matrix(2, (1.5, 2)),
+        lambda: Factorization((3.7, 2)),
+        lambda: even_example_matrix(4, (1.5, 2, 3)),
+        lambda: DistanceAssignment.from_sequence((3,), (1.7,)),
+        lambda: DistanceAssignment((3,), (((1.2,), 1),)),
+        lambda: DistanceAssignment.sequential((5,)).value((1.5,)),
+        lambda: classify_small(5.0, 2, 2),
+        lambda: classify_small(5, 2, 2.0),
+    ],
+    ids=[
+        "circulant", "factorization", "even-example", "from-sequence",
+        "assignment", "assignment-value", "classify-r", "classify-max-distance",
+    ],
+)
+def test_democratic_inputs_reject_non_integers(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_democratic_inputs_accept_numpy_integers():
+    assert circulant_matrix(2, np.array([1, 2])) == circulant_matrix(2, (1, 2))
+    assert Factorization(np.array([2, 3])).factors == (3, 2)
+    even = even_example_matrix(4, np.array([1, 2, 3]))
+    assert even == even_example_matrix(4, (1, 2, 3))
+    a = DistanceAssignment.from_sequence(np.array([3]), np.array([1]))
+    assert a.values == (((1,), 1),) and type(a.values[0][1]) is int
+    assert a.value(np.array([2])) == 1
+    assert classify_small(np.int64(5), 2, np.int64(2)).candidate_count == 12
 
 
 def test_democratic_samples_on_nine_vertices_match_known_families():
