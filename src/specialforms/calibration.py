@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, as_ints
 from .forms import SpecialForm
 
 ORTHONORMALITY_ATOL = 1e-10
@@ -70,7 +70,8 @@ class Frame:
     @classmethod
     def coordinate(cls, d: int, indices) -> "Frame":
         """The coordinate plane spanned by the given axes, in order."""
-        idx = [int(i) for i in indices]
+        (d,) = as_ints((d,), "dimension")
+        idx = as_ints(indices, "axes")
         if any(not 1 <= i <= d for i in idx):
             raise DomainError(f"axes {idx} outside [1, {d}]")
         rows = np.zeros((len(idx), d))
@@ -170,6 +171,13 @@ def _lex_smallest(frames: np.ndarray) -> int:
     return int(np.lexsort(keys.T[::-1])[0])
 
 
+def _as_bool(value) -> bool:
+    """A report flag, which must be a real boolean: "false" or 1 is refused."""
+    if not isinstance(value, bool):
+        raise DomainError(f"report flags must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ComassReport:
     """Outcome of the comass search.
@@ -207,14 +215,14 @@ class ComassReport:
         try:
             return cls(
                 max_value=float(data["max_value"]),
-                calibrated=bool(data["calibrated"]),
-                achieved_on_coordinate_plane=bool(
+                calibrated=_as_bool(data["calibrated"]),
+                achieved_on_coordinate_plane=_as_bool(
                     data["achieved_on_coordinate_plane"]
                 ),
-                n_restarts=int(data["n_restarts"]),
+                n_restarts=as_ints((data["n_restarts"],), "n_restarts")[0],
                 restart_values=tuple(float(x) for x in data["restart_values"]),
-                iterations=tuple(int(x) for x in data["iterations"]),
-                converged=tuple(bool(x) for x in data["converged"]),
+                iterations=as_ints(data["iterations"], "iterations"),
+                converged=tuple(map(_as_bool, data["converged"])),
                 frame=Frame(np.array(data["frame"], dtype=float)),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -162,10 +162,10 @@ def _cmd_democratic_matrix(args, cfg: RunConfig) -> str:
         if r < 3 or r % 2 == 0:
             raise DomainError(f"circulant vertex count must be odd and >= 3, got {r}")
         n = (r - 1) // 2
-        m = dem.circulant_matrix(n, distances or tuple(range(1, n + 1)))
+        m = dem.circulant_matrix(n, distances or range(1, n + 1))
     elif args.even is not None:
         r = args.even
-        m = dem.even_example_matrix(r, distances or tuple(range(1, r)))
+        m = dem.even_example_matrix(r, distances or range(1, r))
     else:
         factors = _parse_ints(args.product, "--product")
         fac = dem.Factorization(factors)

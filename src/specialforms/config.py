@@ -47,12 +47,12 @@ class RunConfig:
 
 
 def load_config(path: str | None = None, environ=None) -> RunConfig:
-    """Defaults, overlaid with the config file if one is named."""
+    """Defaults, overlaid with the file named by ENV_VAR, then with `path`."""
     environ = os.environ if environ is None else environ
     cfg = RunConfig()
-    path = path or environ.get(ENV_VAR)
-    if path:
-        _apply_file(cfg, path)
+    for source in (environ.get(ENV_VAR), path):
+        if source:
+            _apply_file(cfg, source)
     cfg.validate()
     return cfg
 

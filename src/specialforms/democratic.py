@@ -1,19 +1,22 @@
 """Constructions and classification of democratic distance matrices.
 
 A matrix is democratic when its automorphism group is vertex-transitive.
-Difference constructions over cyclic groups and their products give the
-standard families; `classify_small` exhaustively enumerates the candidates
-whose rows all hold the same values, each twice, for small odd prime vertex
-counts and checks that each democratic one is a relabeled circulant.
+Difference matrices over products of cyclic groups, circulants being the
+one-factor case, give the standard families; `symmetry_families` splits a
+vertex count into cyclic factors by a recursion over its divisors.
+`classify_small` exhaustively enumerates the candidates whose rows all hold
+the same values, each twice, for small odd prime vertex counts and checks
+that each democratic one is a relabeled circulant.  Each construction checks
+a module cap before any work and raises CapacityError above it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +29,14 @@ from .graphs import (
     is_democratic,
 )
 
+# Caps, checked before any work: group order and matrix size, r for the
+# family counts, families listed at once, and m for bell(m), which must stay
+# below 1981, where its value passes Python's 4,300-digit int-to-str limit.
+MAX_VERTICES = 1024
+MAX_FAMILY_VERTICES = 2**30
+MAX_FAMILIES = 20_000
+MAX_BELL_M = 1500
+
 # classify_small: candidates per set of (r - 1) / 2 values, the cap on all of
 # them (on 3 and 5 vertices each is a ~1 KB catalog entry), rows 0 per block.
 CANDIDATES_PER_VALUE_SET = {3: 1, 5: 12, 7: 13950}
@@ -33,26 +44,19 @@ MAX_CANDIDATES = 200_000
 BLOCK_SIZE = 16
 
 
+def _check_cap(size: int, cap: int, what: str) -> None:
+    if size > cap:
+        raise CapacityError(f"{what} {size} exceeds the cap {cap}")
+
+
 def circulant_matrix(n: int, distances: Sequence[int]) -> DistanceMatrix:
     """Circulant matrix on r = 2n + 1 vertices from n positive distances.
 
-    Entry (i, j) is distances[k - 1] where k is the cyclic gap between i
-    and j, so each distance occurs exactly twice per row.
+    The difference matrix of Z_r: entry (i, j) is distances[k - 1] where k
+    is the cyclic gap between i and j, so each distance occurs twice per row.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 cyclic distances, got {n}")
-    dist = as_ints(distances, "distances")
-    if len(dist) != n:
-        raise DomainError(f"expected {n} distances, got {len(dist)}")
-    if any(x < 1 for x in dist):
-        raise DomainError("distances must be >= 1")
-    r = 2 * n + 1
-    rows = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            gap = min((i - j) % r, (j - i) % r)
-            rows[i][j] = rows[j][i] = dist[gap - 1]
-    return DistanceMatrix.from_rows(rows)
+    fac = Factorization((2 * n + 1,))
+    return product_matrix(fac, DistanceAssignment.from_sequence(fac.factors, distances))
 
 
 def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
@@ -63,29 +67,34 @@ def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
     d_{i+j-2}, and entry (i, r) is d_{2i-2}.  Every row contains each
     index class exactly once.
     """
+    (r,) = as_ints((r,), "vertex count")
     if r < 2 or r % 2 != 0:
         raise DomainError(f"vertex count must be even and >= 2, got {r}")
+    _check_cap(r, MAX_VERTICES, "vertex count")
+    dist = _distances(distances, r - 1)
+    # index (i + j) mod (r - 1) + 1 into [0, d_{r-1}, d_1, ..., d_{r-2}] on
+    # the first r - 1 vertices; vertex r meets vertex i at index 2i
+    a = np.arange(r - 1)
+    index = np.zeros((r, r), dtype=np.intp)
+    index[:-1, :-1] = np.add.outer(a, a) % (r - 1) + 1
+    index[-1, :-1] = index[:-1, -1] = index[a, a]
+    index[a, a] = 0
+    values = [0, dist[-1], *dist[:-1]]
+    return DistanceMatrix.from_rows([[values[i] for i in row] for row in index.tolist()])
+
+
+def _distances(distances: Sequence[int], count: int) -> tuple[int, ...]:
     dist = as_ints(distances, "distances")
-    if len(dist) != r - 1:
-        raise DomainError(f"expected {r - 1} distances, got {len(dist)}")
+    if len(dist) != count:
+        raise DomainError(f"expected {count} distances, got {len(dist)}")
     if any(x < 1 for x in dist):
         raise DomainError("distances must be >= 1")
-
-    def dval(k: int) -> int:
-        k = k % (r - 1)
-        return dist[k - 1] if k >= 1 else dist[r - 2]
-
-    rows = [[0] * r for _ in range(r)]
-    for i in range(1, r):
-        for j in range(i + 1, r):
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = dval(i + j - 2)
-        rows[i - 1][r - 1] = rows[r - 1][i - 1] = dval(2 * i - 2)
-    return DistanceMatrix.from_rows(rows)
+    return dist
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Vertex count split into ordered factors r_1 >= r_2 >= ... >= 2."""
+    """Vertex count r <= MAX_VERTICES split into factors r_1 >= ... >= 2."""
 
     factors: tuple[int, ...]
 
@@ -96,10 +105,23 @@ class Factorization:
             raise DomainError("factorization must have at least one factor")
         if factors[-1] < 2:
             raise DomainError(f"factors must be >= 2, got {factors}")
+        _check_cap(self.r, MAX_VERTICES, "vertex count")
 
     @property
     def r(self) -> int:
         return math.prod(self.factors)
+
+
+def _factorization(factorization: Factorization | Sequence[int]) -> Factorization:
+    if isinstance(factorization, Factorization):
+        return factorization
+    return Factorization(tuple(factorization))
+
+
+def _orbit(delta: Sequence[int], factors: Sequence[int]) -> tuple[int, ...]:
+    """Representative min(delta, -delta) of a group difference's orbit."""
+    delta = tuple(x % n for x, n in zip(delta, factors))
+    return min(delta, tuple(-x % n for x, n in zip(delta, factors)))
 
 
 @dataclass(frozen=True)
@@ -131,13 +153,10 @@ class DistanceAssignment:
 
     @staticmethod
     def orbit_representatives(factors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        reps = set()
-        for delta in itertools.product(*(range(n) for n in factors)):
-            if all(x == 0 for x in delta):
-                continue
-            neg = tuple((n - x) % n for x, n in zip(delta, factors))
-            reps.add(min(delta, neg))
-        return tuple(sorted(reps))
+        factors = as_ints(factors, "factors")
+        _check_cap(math.prod(factors), MAX_VERTICES, "group order")
+        deltas = itertools.islice(itertools.product(*map(range, factors)), 1, None)
+        return tuple(sorted({_orbit(delta, factors) for delta in deltas}))
 
     @classmethod
     def sequential(cls, factors: Sequence[int]) -> "DistanceAssignment":
@@ -151,22 +170,14 @@ class DistanceAssignment:
     ) -> "DistanceAssignment":
         """Values assigned to the sorted orbit representatives, in order."""
         reps = cls.orbit_representatives(factors)
-        dist = as_ints(distances, "distances")
-        if len(dist) != len(reps):
-            raise DomainError(
-                f"expected {len(reps)} distances for factors {tuple(factors)}, "
-                f"got {len(dist)}"
-            )
-        return cls(tuple(factors), tuple(zip(reps, dist)))
+        return cls(tuple(factors), tuple(zip(reps, _distances(distances, len(reps)))))
 
-    @cached_property
+    @functools.cached_property
     def _lookup(self) -> dict[tuple[int, ...], int]:
         return dict(self.values)
 
     def value(self, delta: Sequence[int]) -> int:
-        delta = tuple(x % n for x, n in zip(as_ints(delta, "difference"), self.factors))
-        neg = tuple((n - x) % n for x, n in zip(delta, self.factors))
-        return self._lookup[min(delta, neg)]
+        return self._lookup[_orbit(as_ints(delta, "difference"), self.factors)]
 
 
 def product_matrix(
@@ -175,108 +186,99 @@ def product_matrix(
 ) -> DistanceMatrix:
     """Difference matrix over a product of cyclic groups, row-major vertices.
 
-    Entry for vertices u, v is the assignment value of the difference
-    orbit of v - u.  Translations of the group are automorphisms, so the
-    result is democratic for every assignment.
+    Entry (u, v) is the assignment value of v - u, looked up once per group
+    element.  Translations of the group are automorphisms, so the result is
+    democratic for every assignment.
     """
-    fac = (
-        factorization
-        if isinstance(factorization, Factorization)
-        else Factorization(tuple(factorization))
-    )
+    fac = _factorization(factorization)
     if assignment is None:
         assignment = DistanceAssignment.sequential(fac.factors)
     if tuple(assignment.factors) != fac.factors:
         raise DomainError(
             f"assignment factors {assignment.factors} do not match {fac.factors}"
         )
-    vertices = list(itertools.product(*(range(n) for n in fac.factors)))
-    r = len(vertices)
-    rows = [[0] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(a + 1, r):
-            delta = tuple(
-                (vertices[b][k] - vertices[a][k]) % n
-                for k, n in enumerate(fac.factors)
-            )
-            rows[a][b] = rows[b][a] = assignment.value(delta)
-    return DistanceMatrix.from_rows(rows)
+    deltas = itertools.islice(itertools.product(*map(range, fac.factors)), 1, None)
+    values = [0, *map(assignment.value, deltas)]
+    # index[u, v] is the row-major position of the difference v - u
+    index = 0
+    for n, x in zip(fac.factors, np.indices(fac.factors).reshape(len(fac.factors), -1)):
+        index = index * n + (x - x[:, None]) % n
+    return DistanceMatrix.from_rows([[values[i] for i in row] for row in index.tolist()])
 
 
 def cyclic_shift_generators(
     factorization: Factorization | Sequence[int],
 ) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations (1-based) shifting each cyclic factor by one."""
-    fac = (
-        factorization
-        if isinstance(factorization, Factorization)
-        else Factorization(tuple(factorization))
+    fac = _factorization(factorization)
+    positions = np.arange(fac.r).reshape(fac.factors)
+    return tuple(
+        tuple((np.roll(positions, -1, axis).ravel() + 1).tolist())
+        for axis in range(len(fac.factors))
     )
-    vertices = list(itertools.product(*(range(n) for n in fac.factors)))
-    index = {v: i for i, v in enumerate(vertices)}
-    gens = []
-    for axis in range(len(fac.factors)):
-        perm = []
-        for v in vertices:
-            shifted = tuple(
-                (x + 1) % n if k == axis else x
-                for k, (x, n) in enumerate(zip(v, fac.factors))
-            )
-            perm.append(index[shifted] + 1)
-        gens.append(tuple(perm))
-    return tuple(gens)
 
 
 def bell(m: int) -> int:
-    """Number of partitions of an m element set."""
+    """Number of partitions of an m element set, read off the Bell triangle:
+    each row starts with the last entry of the row before and adds that
+    row's entries in turn, and row m starts with bell(m)."""
+    (m,) = as_ints((m,), "m")
     if m < 0:
         raise DomainError(f"bell numbers are defined for m >= 0, got {m}")
-    b = [1]
-    for n in range(m):
-        b.append(sum(math.comb(n, k) * b[k] for k in range(n + 1)))
-    return b[m]
+    _check_cap(m, MAX_BELL_M, "bell index")
+    row = [1]
+    for _ in range(m):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[0]
 
 
-def _prime_factors(r: int) -> list[int]:
-    out = []
-    x = r
-    f = 2
-    while f * f <= x:
-        while x % f == 0:
-            out.append(f)
-            x //= f
-        f += 1
-    if x > 1:
-        out.append(x)
-    return out
+def _factorizations(r: int) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """Number of non-increasing factorizations of r into parts >= 2 (OEIS
+    A001055), and a lazy walk listing them in lexicographic order.
 
+    Both follow one recursion over r's divisors: a factorization of n into
+    parts <= largest is a divisor d of n with 2 <= d <= largest, followed
+    by a factorization of n // d into parts <= d, so each is reached once.
+    """
+    (r,) = as_ints((r,), "vertex count")
+    if r < 2:
+        raise DomainError(f"vertex count must be >= 2, got {r}")
+    _check_cap(r, MAX_FAMILY_VERTICES, "vertex count")
+    low = [d for d in range(2, math.isqrt(r) + 1) if r % d == 0]
+    divisors = sorted({*low, *(r // d for d in low), r})
 
-def _partitions(items: list) -> Iterable[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield part + [[first]]
+    @functools.cache
+    def parts(n: int) -> list[int]:
+        return [d for d in divisors if n % d == 0]
+
+    def steps(n: int, largest: int) -> Iterator[int]:
+        return itertools.takewhile(largest.__ge__, parts(n))
+
+    @functools.cache
+    def count(n: int, largest: int) -> int:
+        return 1 if n == 1 else sum(count(n // d, d) for d in steps(n, largest))
+
+    def walk(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+        if n == 1:
+            yield ()
+        for d in steps(n, largest):
+            for rest in walk(n // d, d):
+                yield (d, *rest)
+
+    return count(r, r), walk(r, r)
 
 
 def symmetry_families(r: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct factor multisets of r into parts >= 2, one per way of
-    grouping its prime factorization; sorted, each non-increasing."""
-    if r < 2:
-        raise DomainError(f"vertex count must be >= 2, got {r}")
-    primes = _prime_factors(r)
-    fams = {
-        tuple(sorted((math.prod(block) for block in part), reverse=True))
-        for part in _partitions(primes)
-    }
-    return tuple(sorted(fams))
+    """Distinct factor multisets of r into parts >= 2, sorted, each
+    non-increasing; CapacityError when more than MAX_FAMILIES."""
+    count, families = _factorizations(r)
+    _check_cap(count, MAX_FAMILIES, "symmetry family count")
+    return tuple(families)
 
 
 def count_symmetry_families(r: int) -> int:
-    return len(symmetry_families(r))
+    """Number of symmetry families of r, counted without listing them."""
+    return _factorizations(r)[0]
 
 
 @dataclass(frozen=True)
@@ -437,7 +439,6 @@ def classify_small(
     stats.leaves += candidate_count
 
     entries: list[CatalogEntry] = []
-    verified = True
     target_cache: dict[tuple[int, ...], list] = {}
     for cand in candidates:
         if not is_democratic(cand, vertex_cap=vertex_cap):
@@ -448,16 +449,13 @@ def classify_small(
                 (perm, circulant_matrix(q, perm))
                 for perm in itertools.permutations(used)
             ]
-        match: Optional[CatalogEntry] = None
         for perm, target in target_cache[used]:
             wit = find_relabeling(cand, target)
             if wit is not None:
-                match = CatalogEntry(matrix=cand, distances=perm, witness=wit)
+                entries.append(CatalogEntry(matrix=cand, distances=perm, witness=wit))
                 break
-        if match is None:
-            verified = False
-            match = CatalogEntry(matrix=cand, distances=None, witness=None)
-        entries.append(match)
+        else:
+            entries.append(CatalogEntry(matrix=cand, distances=None, witness=None))
     stats.solutions += len(entries)
 
     return ClassificationCatalog(
@@ -466,5 +464,5 @@ def classify_small(
         alphabet=tuple(alpha),
         candidate_count=candidate_count,
         entries=tuple(entries),
-        theorem_verified=verified,
+        theorem_verified=all(e.witness is not None for e in entries),
     )

@@ -13,7 +13,6 @@ returns the first witness in that order.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +34,9 @@ class DistanceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        (r,) = as_ints((self.r,), "vertex count")
         ent = tuple(as_ints(row, "matrix entries") for row in self.entries)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", ent)
         if self.r < 1:
             raise DomainError(f"vertex count must be >= 1, got {self.r}")
@@ -68,7 +69,7 @@ class DistanceMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "DistanceMatrix":
         try:
-            return cls(operator.index(data["r"]), tuple(data["entries"]))
+            return cls(data["r"], tuple(data["entries"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed matrix object: {exc}") from exc
 

@@ -14,7 +14,6 @@ on a realisation.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -136,7 +135,7 @@ class GraphFunction:
             values = tuple(
                 (tuple(entry["subset"]), entry["f"]) for entry in data["values"]
             )
-            return cls(operator.index(data["r"]), operator.index(data["p"]), values)
+            return cls(data["r"], data["p"], values)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed graph function object: {exc}") from exc
 
@@ -307,6 +306,12 @@ class Realization:
     subsets: tuple[OrientedSubset, ...]
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
+    def __post_init__(self) -> None:
+        r, p, d = as_ints((self.r, self.p, self.d), "r, p and d")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+
     def to_dict(self) -> dict:
         return {
             "r": self.r,
@@ -322,9 +327,9 @@ class Realization:
     def from_dict(cls, data: dict) -> "Realization":
         try:
             return cls(
-                operator.index(data["r"]),
-                operator.index(data["p"]),
-                operator.index(data["d"]),
+                data["r"],
+                data["p"],
+                data["d"],
                 tuple(OrientedSubset(tuple(s)) for s in data["subsets"]),
                 tuple(
                     (

@@ -34,6 +34,12 @@ def test_frame_validation():
         Frame.coordinate(3, (1, 4))
     f = Frame.coordinate(4, (2, 3))
     assert f.p == 2 and f.d == 4
+    with pytest.raises(DomainError):
+        Frame.coordinate(3, [1.7, 2.2])  # would silently use axes 1 and 2
+    with pytest.raises(DomainError):
+        Frame.coordinate(4.0, (2, 3))
+    g = Frame.coordinate(np.int64(4), np.array([2, 3]))
+    assert np.array_equal(g.vectors, f.vectors)
     with pytest.raises(ValueError):
         f.vectors[0, 0] = 5.0  # frames are read-only
 
@@ -188,6 +194,25 @@ def test_report_round_trip():
     assert np.allclose(back.frame.vectors, rep.frame.vectors)
     data = rep.to_dict()
     del data["converged"]
+    with pytest.raises(DomainError):
+        ComassReport.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_restarts", 2.9),
+        ("iterations", [1.5]),
+        ("calibrated", "false"),
+        ("achieved_on_coordinate_plane", 1),
+        ("converged", ["true"]),
+    ],
+)
+def test_report_rejects_truncated_or_coerced_fields(key, value):
+    data = comass(form(3, 2, ((1, 2), 1)), restarts=0).to_dict()
+    data["n_restarts"] = np.int64(2)  # numpy integers still pass
+    assert ComassReport.from_dict(data).n_restarts == 2
+    data[key] = value
     with pytest.raises(DomainError):
         ComassReport.from_dict(data)
 

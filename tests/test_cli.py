@@ -1,12 +1,26 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from specialforms import DistanceMatrix, RunConfig, SpecialForm, circulant_matrix
+from specialforms import (
+    DistanceMatrix,
+    RunConfig,
+    SpecialForm,
+    circulant_matrix,
+    load_config,
+)
 from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL
 from specialforms.cli import main
+from specialforms.democratic import (
+    MAX_BELL_M,
+    MAX_FAMILIES,
+    MAX_FAMILY_VERTICES,
+    MAX_VERTICES,
+    count_symmetry_families,
+)
 from specialforms.forms import DEFAULT_CANON_DIMENSION_CAP
 from specialforms.graphs import DEFAULT_AUTOMORPHISM_VERTEX_CAP
 from specialforms.realization import DEFAULT_SOLVER_VERTEX_CAP
@@ -169,6 +183,62 @@ def test_democratic_classify(capsys):
     capsys.readouterr()
 
 
+ODD_ABOVE_CAP = (MAX_VERTICES + 1) | 1
+EVEN_ABOVE_CAP = MAX_VERTICES + 2 - MAX_VERTICES % 2
+FAMILIES_ABOVE_CAP = 1036800  # 20,741 symmetry families
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["democratic", "matrix", "--circulant", str(ODD_ABOVE_CAP)],
+        ["democratic", "matrix", "--circulant", str(10**18 + 1), "1"],
+        ["democratic", "matrix", "--even", str(EVEN_ABOVE_CAP)],
+        ["democratic", "matrix", "--product", str(MAX_VERTICES + 1)],
+        ["democratic", "matrix", "--product", f"2,{MAX_VERTICES // 2 + 1}", "1"],
+        ["democratic", "count", str(MAX_FAMILY_VERTICES + 1)],
+        ["democratic", "enum", str(MAX_FAMILY_VERTICES + 1)],
+        ["democratic", "enum", str(FAMILIES_ABOVE_CAP)],
+        ["bell", str(MAX_BELL_M + 1)],
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_growth_paths_above_their_caps_exit_3_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the cap" in err
+
+
+def test_the_family_input_above_the_cap_is_just_above_it():
+    count = count_symmetry_families(FAMILIES_ABOVE_CAP)
+    assert MAX_FAMILIES < count < 1.1 * MAX_FAMILIES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["democratic", "count", "1"],
+        ["democratic", "enum", "-4"],
+        ["democratic", "matrix", "--circulant", "4"],
+        ["democratic", "matrix", "--circulant", "5", "1"],
+        ["democratic", "matrix", "--circulant", "5", "1,0"],
+        ["democratic", "matrix", "--circulant", "5", "1.5,2"],
+        ["democratic", "matrix", "--even", "5"],
+        ["democratic", "matrix", "--even", "4", "1,2"],
+        ["democratic", "matrix", "--product", "1,3"],
+        ["democratic", "matrix", "--product", "3,3", "1,2"],
+        ["bell", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_construction_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_calibrate_command(tmp_path, capsys):
     f = SpecialForm.from_terms(3, 2, [((1, 2), 1)])
     path = write_json(tmp_path / "plane.json", f.to_dict())
@@ -281,6 +351,14 @@ def test_config_env_var_and_precedence(tmp_path, capsys, monkeypatch):
     # a command line flag outranks any configured value
     assert main(["--config", str(flag_cfg), "calibrate", path, "--restarts", "6"]) == 0
     assert json.loads(capsys.readouterr().out)["n_restarts"] == 6
+
+    # --config overlays the environment file instead of replacing it
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("seed = 5\n", encoding="utf-8")
+    cfg = load_config(str(seed_cfg))
+    assert (cfg.seed, cfg.comass_restarts) == (5, 3)
+    assert main(["--config", str(seed_cfg), "calibrate", path]) == 0
+    assert json.loads(capsys.readouterr().out)["n_restarts"] == 3
 
 
 def test_calibrate_deterministic_for_seed(tmp_path, capsys):

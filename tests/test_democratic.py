@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -115,6 +116,73 @@ def test_even_example_unique_on_four_vertices():
     assert found == 6
 
 
+def _loop_circulant(distances):
+    r = 2 * len(distances) + 1
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            gap = min((i - j) % r, (j - i) % r)
+            rows[i][j] = rows[j][i] = distances[gap - 1]
+    return rows
+
+
+def _loop_even_example(distances):
+    r = len(distances) + 1
+
+    def dval(k):
+        k = k % (r - 1)
+        return distances[k - 1] if k >= 1 else distances[r - 2]
+
+    rows = [[0] * r for _ in range(r)]
+    for i in range(1, r):
+        for j in range(i + 1, r):
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = dval(i + j - 2)
+        rows[i - 1][r - 1] = rows[r - 1][i - 1] = dval(2 * i - 2)
+    return rows
+
+
+def _loop_shift_generators(factors):
+    vertices = list(itertools.product(*(range(n) for n in factors)))
+    index = {v: i for i, v in enumerate(vertices)}
+    gens = []
+    for axis in range(len(factors)):
+        shifted = [list(v) for v in vertices]
+        for v in shifted:
+            v[axis] = (v[axis] + 1) % factors[axis]
+        gens.append(tuple(index[tuple(v)] + 1 for v in shifted))
+    return tuple(gens)
+
+
+def test_constructions_match_entrywise_loop_references():
+    """Seeded circulants (distances up to 10^20), even examples and products
+    against the entry-by-entry loops they replaced."""
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        dist = tuple(rng.randint(1, 10 ** rng.randint(1, 20)) for _ in range(n))
+        m = circulant_matrix(n, dist)
+        assert [list(row) for row in m.entries] == _loop_circulant(dist)
+        one_factor = DistanceAssignment.from_sequence((2 * n + 1,), dist)
+        assert product_matrix((2 * n + 1,), one_factor) == m
+
+        r = 2 * rng.randint(1, 9)
+        dist = tuple(rng.randint(1, 9) for _ in range(r - 1))
+        m = even_example_matrix(r, dist)
+        assert [list(row) for row in m.entries] == _loop_even_example(dist)
+
+        k = rng.randint(1, 3)
+        factors = sorted((rng.randint(2, 5) for _ in range(k)), reverse=True)
+        orbits = DistanceAssignment.orbit_representatives(factors)
+        values = [rng.randint(1, 6) for _ in orbits]
+        a = DistanceAssignment.from_sequence(factors, values)
+        m = product_matrix(factors, a)
+        vertices = list(itertools.product(*(range(n) for n in factors)))
+        for (i, u), (j, v) in itertools.product(enumerate(vertices), repeat=2):
+            delta = [y - x for x, y in zip(u, v)]
+            assert m.entries[i][j] == (a.value(delta) if i != j else 0)
+        assert cyclic_shift_generators(factors) == _loop_shift_generators(factors)
+
+
 def test_product_single_factor_is_circulant():
     assert product_matrix((5,)) == circulant_matrix(2, (1, 2))
     assert product_matrix((7,)) == circulant_matrix(3, (1, 2, 3))
@@ -183,6 +251,90 @@ def test_symmetry_families():
     assert count_symmetry_families(2 * 3 * 5 * 7) == bell(4)
     with pytest.raises(DomainError):
         symmetry_families(1)
+
+
+def _prime_factors(r: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= r:
+        while r % f == 0:
+            out.append(f)
+            r //= f
+        f += 1
+    return out + [r] if r > 1 else out
+
+
+def test_symmetry_families_match_a_set_partition_oracle():
+    """Each family groups the prime factors of r into blocks; listing every
+    set partition of the prime factors and removing duplicates gives them."""
+    for r in (*range(2, 130), 2**10, 30030, 9973, 864, 4004, 3**6):
+        expected = sorted(
+            {
+                tuple(sorted((math.prod(block) for block in part), reverse=True))
+                for part in set_partitions(_prime_factors(r))
+            }
+        )
+        assert symmetry_families(r) == tuple(expected), r
+        assert count_symmetry_families(r) == len(expected), r
+
+
+def test_family_counts_of_prime_powers_are_partition_numbers():
+    partitions = [1] + [0] * 30  # p(n) by the coin recurrence over parts 1..30
+    for part in range(1, 31):
+        for n in range(part, 31):
+            partitions[n] += partitions[n - part]
+    assert [count_symmetry_families(2**n) for n in range(1, 31)] == partitions[1:]
+    assert (count_symmetry_families(4096), count_symmetry_families(8192)) == (77, 101)
+    families = symmetry_families(2**30)
+    assert len(families) == 5604 and len(set(families)) == 5604
+    assert list(families) == sorted(families)
+
+
+def test_bell_matches_the_binomial_recurrence():
+    b = [1]
+    for n in range(150):
+        b.append(sum(math.comb(n, k) * b[k] for k in range(n + 1)))
+    assert [bell(m) for m in range(151)] == b
+
+
+def test_construction_caps_refuse_before_any_work(monkeypatch):
+    start = time.perf_counter()
+    for build in (
+        lambda: product_matrix((40, 50)),
+        lambda: product_matrix((2,) * 11),
+        lambda: cyclic_shift_generators((10**9,)),
+        lambda: circulant_matrix(10**12, range(1, 10**12 + 1)),
+        lambda: even_example_matrix(10**12, range(1, 10**12)),
+        lambda: DistanceAssignment.sequential((10**6, 10**6)),
+        lambda: count_symmetry_families(democratic.MAX_FAMILY_VERTICES + 1),
+        lambda: symmetry_families(10**30),
+        lambda: symmetry_families(1036800),  # 20,741 families
+        lambda: bell(democratic.MAX_BELL_M + 1),
+        lambda: bell(10**12),
+    ):
+        with pytest.raises(CapacityError):
+            build()
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(democratic, "MAX_VERTICES", 9)
+    assert product_matrix((3, 3)).r == circulant_matrix(4, (1, 2, 3, 4)).r == 9
+    assert even_example_matrix(8, range(1, 8)).r == 8
+    for build in (
+        lambda: product_matrix((2, 5)),
+        lambda: cyclic_shift_generators((5, 2)),
+        lambda: circulant_matrix(5, range(1, 6)),
+        lambda: even_example_matrix(10, range(1, 10)),
+        lambda: DistanceAssignment.from_sequence((11,), range(1, 6)),
+    ):
+        with pytest.raises(CapacityError):
+            build()
+    monkeypatch.setattr(democratic, "MAX_FAMILIES", 4)
+    assert len(symmetry_families(12)) == 4
+    assert count_symmetry_families(24) == 7
+    with pytest.raises(CapacityError):
+        symmetry_families(24)
+    monkeypatch.setattr(democratic, "MAX_BELL_M", 10)
+    assert bell(10) == 115975
+    with pytest.raises(CapacityError):
+        bell(11)
 
 
 def test_classify_three_vertices():
@@ -340,10 +492,16 @@ def test_triangle_filter_matches_a_loop_reference():
         lambda: DistanceAssignment.sequential((5,)).value((1.5,)),
         lambda: classify_small(5.0, 2, 2),
         lambda: classify_small(5, 2, 2.0),
+        lambda: symmetry_families(6.0),
+        lambda: count_symmetry_families(6.0),
+        lambda: bell(2.5),
+        lambda: circulant_matrix(2.0, (1, 2)),
+        lambda: even_example_matrix(4.0, (1, 2, 3)),
     ],
     ids=[
         "circulant", "factorization", "even-example", "from-sequence",
         "assignment", "assignment-value", "classify-r", "classify-max-distance",
+        "families-r", "count-r", "bell-m", "circulant-n", "even-example-r",
     ],
 )
 def test_democratic_inputs_reject_non_integers(build):
@@ -360,6 +518,11 @@ def test_democratic_inputs_accept_numpy_integers():
     assert a.values == (((1,), 1),) and type(a.values[0][1]) is int
     assert a.value(np.array([2])) == 1
     assert classify_small(np.int64(5), 2, np.int64(2)).candidate_count == 12
+    assert symmetry_families(np.int64(12)) == symmetry_families(12)
+    assert count_symmetry_families(np.int64(30)) == 5
+    assert bell(np.int64(7)) == 877
+    assert circulant_matrix(np.int64(2), (1, 2)) == circulant_matrix(2, (1, 2))
+    assert even_example_matrix(np.int64(4), (1, 2, 3)) == even
 
 
 def test_democratic_samples_on_nine_vertices_match_known_families():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import brute_automorphisms, cayley_form, fano_matrix
@@ -86,6 +87,10 @@ def test_matrix_rejects_non_integers():
         DistanceMatrix.from_dict({"r": 2.0, "entries": [[0, 2], [2, 0]]})
     with pytest.raises(DomainError):
         DistanceMatrix.from_rows([[0, "2"], ["2", 0]])
+    with pytest.raises(DomainError):
+        DistanceMatrix(2.0, ((0, 1), (1, 0)))
+    m = DistanceMatrix(np.int64(2), ((0, 1), (1, 0)))
+    assert m == DistanceMatrix.from_rows([[0, 1], [1, 0]]) and type(m.r) is int
 
 
 def test_graph_of_form_examples():

@@ -214,6 +214,16 @@ def test_realize_pentagon_blocks():
         Realization.from_dict(bad)
 
 
+def test_realization_reads_r_p_and_d_as_integers():
+    with pytest.raises(DomainError):
+        Realization(1.5, "x", None, (), ())
+    with pytest.raises(DomainError):
+        Realization(2, 1, 2.0, (), ())
+    one = np.int64(1)
+    real = Realization(one, one, one, (OrientedSubset((1,)),), ())
+    assert (real.r, real.p, real.d) == (1, 1, 1) and type(real.d) is int
+
+
 def test_verify_reports_failures():
     m = circulant_matrix(2, (1, 2))
     real = realize(solve(m, 2)[0])
