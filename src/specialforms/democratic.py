@@ -124,6 +124,14 @@ def _orbit(delta: Sequence[int], factors: Sequence[int]) -> tuple[int, ...]:
     return min(delta, tuple(-x % n for x, n in zip(delta, factors)))
 
 
+@functools.lru_cache(maxsize=64)
+def _difference_orbits(factors: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The orbit representative of each group element, row-major, and the
+    sorted representatives of the nonzero elements."""
+    orbits = tuple(_orbit(x, factors) for x in itertools.product(*map(range, factors)))
+    return orbits, tuple(sorted(set(orbits[1:])))
+
+
 @dataclass(frozen=True)
 class DistanceAssignment:
     """Distance value for each difference orbit of a product of cyclic groups.
@@ -155,8 +163,7 @@ class DistanceAssignment:
     def orbit_representatives(factors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         factors = as_ints(factors, "factors")
         _check_cap(math.prod(factors), MAX_VERTICES, "group order")
-        deltas = itertools.islice(itertools.product(*map(range, factors)), 1, None)
-        return tuple(sorted({_orbit(delta, factors) for delta in deltas}))
+        return _difference_orbits(factors)[1]
 
     @classmethod
     def sequential(cls, factors: Sequence[int]) -> "DistanceAssignment":
@@ -197,8 +204,8 @@ def product_matrix(
         raise DomainError(
             f"assignment factors {assignment.factors} do not match {fac.factors}"
         )
-    deltas = itertools.islice(itertools.product(*map(range, fac.factors)), 1, None)
-    values = [0, *map(assignment.value, deltas)]
+    orbits, _ = _difference_orbits(fac.factors)
+    values = [0, *map(assignment._lookup.__getitem__, orbits[1:])]
     # index[u, v] is the row-major position of the difference v - u
     index = 0
     for n, x in zip(fac.factors, np.indices(fac.factors).reshape(len(fac.factors), -1)):

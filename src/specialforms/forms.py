@@ -14,7 +14,6 @@ sequence with +1 before -1.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -283,13 +282,17 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 #
 # Minimising the support over all relabelings is done by placing the terms
 # one at a time as the rows of the sorted support, depth first.  A placement
-# step picks a still-unplaced term and a set of fresh labels for its
-# unlabeled indices, which realises one complete row; rows must increase
-# strictly, and a realised prefix that already exceeds the incumbent's
-# prefix is pruned.  The fresh labels are then handed out smallest first,
-# each to one of the term's unlabeled indices.  Because the label images of
-# a minimal relabeling are exactly 1..u (u = number of used indices), labels
-# are drawn from that range only.
+# step picks a still-unplaced term, which realises one complete row; rows
+# must increase strictly, and a realised prefix that already exceeds the
+# incumbent's prefix is pruned.  The term's k unlabeled indices take the
+# next labels n+1, .., n+k (n labels are handed out), smallest first, each
+# to one of them, so the row is the term's fixed labels followed by those.
+# No other choice can be least: in a least relabeling the rows 0..t use
+# exactly the labels 1..u_t.  Were row t to use a fresh label L while a
+# smaller L' is unused by rows 0..t, swapping L and L' would keep rows
+# 0..t-1 and turn row t into a smaller row that is none of them, so the
+# swapped support would have t+1 rows below the old row t: a smaller
+# sorted row list.
 #
 # Automorphisms of the support prune the search (McKay & Piperno, "Practical
 # graph isomorphism, II", 2014).  Let l0 be the labeling that first reaches
@@ -445,13 +448,10 @@ def canonicalize(
     st = SearchStats() if stats is None else stats
     p = form.p
     members = [s.indices for s, _ in form.terms]
-    member_sets = [frozenset(t) for t in members]
-    term_of = {s: k for k, s in enumerate(member_sets)}
+    term_of = {frozenset(t): k for k, t in enumerate(members)}
     signs = [g for _, g in form.terms]
-    used = sorted(set().union(*member_sets))
 
     label_of: dict[int, int] = {}
-    free = set(range(1, len(used) + 1))
     placed = [False] * w
     rows: list[tuple[int, ...]] = []
     path: list = []  # the choice made at each branching node above
@@ -527,18 +527,13 @@ def canonicalize(
             finish()
             return
         prev = rows[-1] if rows else None
-        free_sorted = sorted(free)
+        n = len(label_of)
         cands = []
         for term in range(w):
-            if placed[term]:
-                continue
-            fixed = sorted(label_of[x] for x in member_sets[term] if x in label_of)
-            need = [x for x in members[term] if x not in label_of]
-            if not need:
-                cands.append((tuple(fixed), term, ()))
-            else:
-                for combo in itertools.combinations(free_sorted, len(need)):
-                    cands.append((tuple(sorted(fixed + list(combo))), term, combo))
+            if not placed[term]:
+                fixed = sorted(label_of[x] for x in members[term] if x in label_of)
+                combo = tuple(range(n + 1, n + 1 + p - len(fixed)))
+                cands.append((tuple(fixed) + combo, term, combo))
         cands.sort()
         explored: dict[tuple[int, ...], set[int]] = {}
         for tup, term, combo in cands:
@@ -554,11 +549,9 @@ def canonicalize(
             explored.setdefault(combo, set()).add(term)
             placed[term] = True
             rows.append(tup)
-            free.difference_update(combo)
             path.append((term, combo))
             assign(t, term, [x for x in members[term] if x not in label_of], combo)
             path.pop()
-            free.update(combo)
             rows.pop()
             placed[term] = False
             if jumped():

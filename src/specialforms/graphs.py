@@ -7,7 +7,9 @@ predicates, relabeling equivalence, and the decomposition of a matrix into
 closed curves when every distance occurs exactly twice per row.
 `symmetries`, `is_democratic` and `find_relabeling` share one backtracking
 kernel, `_extend`, which tries images in ascending vertex order, so each
-returns the first witness in that order.
+returns the first witness in that order.  Each takes an optional
+`SearchStats`, to which the kernel adds the positions it enters as nodes
+and each bijection it finds as a leaf.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError, DomainError, PreconditionError, as_ints
-from .forms import SpecialForm
+from .forms import SearchStats, SpecialForm
 
 # Automorphism searches are refused above this vertex count by default.
 DEFAULT_AUTOMORPHISM_VERTEX_CAP = 12
@@ -114,12 +116,19 @@ def _check_cap(r: int, vertex_cap: int) -> None:
 
 
 def _extend(
-    a: _Rows, b: _Rows, pa: list[tuple], pb: list[tuple], prefix: list[int]
+    a: _Rows,
+    b: _Rows,
+    pa: list[tuple],
+    pb: list[tuple],
+    prefix: list[int],
+    stats: Optional[SearchStats] = None,
 ) -> Optional[list[int]]:
     """First bijection pi with b[pi(v)][pi(w)] == a[v][w] that sends each
     vertex v < len(prefix) to prefix[v], or None.  Vertex v may only go to a
     vertex x with the same row profile (pa[v] == pb[x]); the other images
-    are tried in ascending order.  Vertices are 0-based here."""
+    are tried in ascending order.  Vertices are 0-based here.  `stats`
+    gains the positions entered past the prefix as nodes, and the bijection
+    found, if any, as a leaf; a refused prefix enters no node."""
     r = len(a)
     used = [False] * r
     # Callers vary the last pinned vertex, so it is checked first.
@@ -132,8 +141,11 @@ def _extend(
             if a[v][u] != b[x][prefix[u]]:
                 return None
     image = list(prefix)
+    nodes = 0
 
     def extend(v: int) -> bool:
+        nonlocal nodes
+        nodes += 1
         if v == r:
             return True
         for x in range(r):
@@ -151,7 +163,11 @@ def _extend(
                 used[x] = False
         return False
 
-    return image if extend(len(prefix)) else None
+    found = extend(len(prefix))
+    if stats is not None:
+        stats.nodes += nodes
+        stats.leaves += found
+    return image if found else None
 
 
 @dataclass(frozen=True)
@@ -177,7 +193,10 @@ class SymmetryGroupReport:
 
 
 def symmetries(
-    m: DistanceMatrix, *, vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP
+    m: DistanceMatrix,
+    *,
+    vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+    stats: Optional[SearchStats] = None,
 ) -> SymmetryGroupReport:
     """Order, transitivity, and generators of the automorphism group.
 
@@ -194,7 +213,7 @@ def symmetries(
     for level in range(m.r):
         orbits.append(1)
         for x in range(level + 1, m.r):
-            g = _extend(e, e, profiles, profiles, [*range(level), x])
+            g = _extend(e, e, profiles, profiles, [*range(level), x], stats)
             if g is not None:
                 orbits[-1] += 1
                 gens.add(tuple(v + 1 for v in g))
@@ -206,14 +225,18 @@ def symmetries(
 
 
 def is_democratic(
-    m: DistanceMatrix, *, vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP
+    m: DistanceMatrix,
+    *,
+    vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+    stats: Optional[SearchStats] = None,
 ) -> bool:
     """Whether the automorphism group is vertex-transitive."""
     _check_cap(m.r, vertex_cap)
     e = m.entries
     profiles = _row_profiles(e)
     return all(
-        _extend(e, e, profiles, profiles, [x]) is not None for x in range(1, m.r)
+        _extend(e, e, profiles, profiles, [x], stats) is not None
+        for x in range(1, m.r)
     )
 
 
@@ -303,7 +326,7 @@ def curve_decomposition(m: DistanceMatrix) -> CurveDecomposition:
 
 
 def find_relabeling(
-    src: DistanceMatrix, dst: DistanceMatrix
+    src: DistanceMatrix, dst: DistanceMatrix, *, stats: Optional[SearchStats] = None
 ) -> Optional[tuple[int, ...]]:
     """Vertex permutation pi (1-based images) with dst[pi(v), pi(w)] == src[v, w],
     or None when the matrices are not relabeling-equivalent.  Refused, like
@@ -315,7 +338,7 @@ def find_relabeling(
     pa, pb = _row_profiles(a), _row_profiles(b)
     if sorted(pa) != sorted(pb):
         return None
-    pi = _extend(a, b, pa, pb, [])
+    pi = _extend(a, b, pa, pb, [], stats)
     return None if pi is None else tuple(x + 1 for x in pi)
 
 

@@ -13,6 +13,7 @@ on a realisation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -140,6 +141,36 @@ class GraphFunction:
             raise DomainError(f"malformed graph function object: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=16)
+def _search_tables(r: int) -> tuple[tuple, tuple, tuple]:
+    """The tables of `solve` that depend only on the vertex count r > 1.
+
+    `pairs` lists the vertex pairs (i, j), i < j.  `branch` lists the
+    subsets of size r-1 down to 3 as (members, positions of their internal
+    pairs in `pairs`, size - 1).  `drops[k]` holds (v, s_v - 1) for the
+    vertices whose s_v drops on reaching position k: after v's last subset
+    of each size, s_v falls to the next size, and to 2 after the last one.
+    Drops at the leaf are left to settle.
+    """
+    verts = range(r)
+    pairs = tuple((i, j) for i in verts for j in range(i + 1, r))
+    pair_idx = {pq: k for k, pq in enumerate(pairs)}
+    branch = tuple(
+        (combo, tuple(pair_idx[ab] for ab in itertools.combinations(combo, 2)), s - 1)
+        for s in range(r - 1, 2, -1)
+        for combo in itertools.combinations(verts, s)
+    )
+    drops: list[list[tuple[int, int]]] = [[] for _ in branch]
+    if branch:
+        drops[0] = [(v, r - 2) for v in verts]
+    for v in verts:
+        at_v = [(k, s1) for k, (combo, _, s1) in enumerate(branch) if v in combo]
+        for (k, s1), (_, nxt) in zip(at_v, at_v[1:] + [(len(branch), 1)]):
+            if nxt != s1 and k + 1 < len(branch):
+                drops[k + 1].append((v, nxt))
+    return pairs, branch, tuple(map(tuple, drops))
+
+
 def solve(
     m: DistanceMatrix,
     p: int,
@@ -192,33 +223,13 @@ def solve(
     if r == 1:
         return []  # no proper nonempty subsets exist to cover the vertex
     verts = range(r)
-    pairs = [(i, j) for i in verts for j in range(i + 1, r)]
-    pair_idx = {pq: k for k, pq in enumerate(pairs)}
+    pairs, branch, drops = _search_tables(r)
     pair_budget = [p - m.entries[i][j] for i, j in pairs]
     vert_budget = [p] * r
     pair_sum = [0] * r  # open pair budget at each vertex
     for (i, j), c in zip(pairs, pair_budget):
         pair_sum[i] += c
         pair_sum[j] += c
-
-    branch = []
-    for size in range(r - 1, 2, -1):
-        for combo in itertools.combinations(verts, size):
-            internal = [pair_idx[ab] for ab in itertools.combinations(combo, 2)]
-            branch.append((combo, internal, size - 1))
-
-    # drops[k] holds (v, s_v - 1) for the vertices whose s_v drops on
-    # reaching position k: after v's last subset of each size, s_v falls to
-    # the next size, and to 2 after the last one.  Drops at the leaf are
-    # left to settle.
-    drops: list[list[tuple[int, int]]] = [[] for _ in branch]
-    if branch:
-        drops[0] = [(v, r - 2) for v in verts]
-    for v in verts:
-        at_v = [(k, s1) for k, (combo, _, s1) in enumerate(branch) if v in combo]
-        for (k, s1), (_, nxt) in zip(at_v, at_v[1:] + [(len(branch), 1)]):
-            if nxt != s1 and k + 1 < len(branch):
-                drops[k + 1].append((v, nxt))
 
     chosen: list[tuple[tuple[int, ...], int]] = []
     solutions: list[GraphFunction] = []

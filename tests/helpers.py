@@ -76,6 +76,15 @@ def brute_canonical(form: SpecialForm) -> SpecialForm:
     return best
 
 
+def brute_least_support(form: SpecialForm) -> tuple[tuple[int, ...], ...]:
+    """Least sorted support over all d! relabelings of the indices."""
+    support = [s.indices for s in form.support]
+    return tuple(min(
+        sorted(tuple(sorted(perm[i - 1] for i in s)) for s in support)
+        for perm in itertools.permutations(range(1, form.d + 1))
+    ))
+
+
 def random_form(rng, d_max=5, w_max=4) -> SpecialForm:
     d = rng.randint(1, d_max)
     p = rng.randint(1, d)

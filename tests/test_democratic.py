@@ -233,6 +233,32 @@ def test_distance_assignment_validation():
     assert Factorization((12,)).r == 12
 
 
+def test_cached_difference_orbits_keep_every_check(monkeypatch):
+    good = DistanceAssignment.from_sequence((7,), (1, 2, 3))
+    assert product_matrix((7,), good) == circulant_matrix(3, (1, 2, 3))
+    # the orbits of Z_7 are cached now; each new assignment is still checked
+    for values in (
+        (((1,), 1), ((2,), 2)),  # orbit (3,) missing
+        (((1,), 1), ((2,), 2), ((4,), 3)),  # (4,) is no representative
+        (((1,), 1), ((2,), 2), ((3,), 0)),
+    ):
+        with pytest.raises(DomainError):
+            DistanceAssignment((7,), values)
+    with pytest.raises(DomainError):
+        DistanceAssignment.from_sequence((7,), (1, 2))
+    with pytest.raises(DomainError):
+        product_matrix((7,), DistanceAssignment.sequential((5,)))
+    monkeypatch.setattr(democratic, "MAX_VERTICES", 6)
+    for build in (
+        lambda: DistanceAssignment.from_sequence((7,), (1, 2, 3)),
+        lambda: DistanceAssignment.orbit_representatives((7,)),
+        lambda: circulant_matrix(3, (1, 2, 3)),
+        lambda: product_matrix((7,), good),
+    ):
+        with pytest.raises(CapacityError):
+            build()
+
+
 def test_bell_matches_partition_enumeration():
     for m in range(9):
         assert bell(m) == len(list(set_partitions(list(range(m)))))

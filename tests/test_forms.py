@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_canonical, cayley_form, random_form
+from helpers import brute_canonical, brute_least_support, cayley_form, random_form
 from specialforms import (
     CapacityError,
     DomainError,
@@ -218,11 +218,22 @@ PINNED_CANONICAL = {
 }
 
 
+def _labels_in_order(c: SpecialForm) -> bool:
+    """Whether rows 0..t of the support use exactly the labels 1..u_t."""
+    seen: set[int] = set()
+    for s in c.support:
+        seen.update(s.indices)
+        if seen != set(range(1, len(seen) + 1)):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("name", PINNED_CANONICAL)
 def test_canonicalize_pinned_outputs(name):
     f, expected = PINNED_CANONICAL[name]
     c = canonicalize(f)
     assert str(c) == expected
+    assert _labels_in_order(c)
     rng = random.Random(41)
     for _ in range(3):
         assert canonicalize(apply(SignedPermutation.random(f.d, rng), f)) == c
@@ -254,6 +265,65 @@ def test_canonicalize_property_invariant_and_idempotent(case):
     c = canonicalize(f)
     assert canonicalize(apply(g, f)) == c
     assert canonicalize(c) == c
+    assert _labels_in_order(c)
+
+
+def test_canonical_support_is_the_least_relabeled_support():
+    rng = random.Random(61)
+    forms = [cayley_form()]
+    while len(forms) < 30:
+        d = rng.choice((6, 7))
+        p = rng.randint(2, d - 2)
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        chosen = rng.sample(subsets, rng.randint(3, 10))
+        forms.append(form(d, p, *((s, rng.choice((1, -1))) for s in chosen)))
+    for f in forms:
+        c = canonicalize(f)
+        assert tuple(s.indices for s in c.support) == brute_least_support(f)
+
+
+def _rigid(*terms):
+    return form(7, 5, *zip(terms[::2], terms[1::2]))
+
+
+# Search counts pinned from the placement that tried every set of free
+# labels for a term; handing labels out in order must enter the same tree.
+# The last three forms have no support automorphism, so nothing prunes.
+PINNED_STATS = {
+    "full 3-form on 7 indices": (
+        _seeded_full_form(7, 3, 3),
+        SearchStats(nodes=240, leaves=7, pruned=43, solutions=7),
+    ),
+    "rigid, weight 10": (
+        _rigid((1, 2, 3, 4, 6), -1, (1, 2, 3, 5, 7), 1, (1, 2, 4, 5, 6), 1,
+               (1, 2, 4, 5, 7), -1, (1, 2, 4, 6, 7), -1, (1, 3, 4, 5, 7), 1,
+               (1, 4, 5, 6, 7), 1, (2, 3, 4, 5, 7), -1, (2, 3, 4, 6, 7), 1,
+               (2, 4, 5, 6, 7), -1),
+        SearchStats(nodes=3452, leaves=23, pruned=0, solutions=1),
+    ),
+    "rigid, weight 10, second": (
+        _rigid((1, 2, 3, 4, 6), 1, (1, 2, 3, 4, 7), 1, (1, 2, 3, 5, 7), 1,
+               (1, 2, 4, 5, 7), -1, (1, 2, 5, 6, 7), 1, (1, 3, 4, 6, 7), -1,
+               (2, 3, 4, 5, 6), -1, (2, 3, 4, 5, 7), -1, (2, 3, 4, 6, 7), 1,
+               (2, 3, 5, 6, 7), 1),
+        SearchStats(nodes=3322, leaves=14, pruned=0, solutions=1),
+    ),
+    "rigid, weight 9": (
+        _rigid((1, 2, 3, 4, 6), 1, (1, 2, 3, 6, 7), 1, (1, 2, 4, 5, 7), 1,
+               (1, 2, 4, 6, 7), 1, (1, 2, 5, 6, 7), 1, (1, 3, 4, 6, 7), 1,
+               (2, 3, 4, 5, 6), 1, (2, 3, 4, 6, 7), 1, (2, 4, 5, 6, 7), 1),
+        SearchStats(nodes=2906, leaves=19, pruned=0, solutions=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STATS)
+def test_canonicalize_pinned_search_stats(name):
+    f, expected = PINNED_STATS[name]
+    stats = SearchStats()
+    c = canonicalize(f, stats=stats)
+    assert stats == expected
+    assert _labels_in_order(c)
 
 
 def test_orbit_equivalent():

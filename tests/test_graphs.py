@@ -12,6 +12,7 @@ from specialforms import (
     DomainError,
     DistanceMatrix,
     PreconditionError,
+    SearchStats,
     SpecialForm,
     circulant_matrix,
     curve_decomposition,
@@ -251,6 +252,33 @@ def test_symmetries_generators_of_fano_matrix_are_pinned():
         (2, 1, 3, 4, 5, 6, 7), (3, 1, 2, 4, 5, 6, 7), (4, 1, 2, 3, 5, 6, 7),
         (5, 1, 2, 3, 4, 6, 7), (6, 1, 2, 3, 4, 5, 7), (7, 1, 2, 3, 4, 5, 6),
     )
+
+
+def test_kernel_stats_are_pinned_and_add_up():
+    fano, circ = fano_matrix(), circulant_matrix(3, (1, 2, 3))
+    cases = (
+        # 21 witnesses; each extension past a pinned prefix enters r - level
+        # positions, the leaf included
+        (lambda s: symmetries(fano, stats=s), SearchStats(nodes=112, leaves=21)),
+        (lambda s: symmetries(circ, stats=s), SearchStats(nodes=48, leaves=7)),
+        (lambda s: is_democratic(fano, stats=s), SearchStats(nodes=42, leaves=6)),
+        (lambda s: is_democratic(circ, stats=s), SearchStats(nodes=42, leaves=6)),
+        (lambda s: find_relabeling(circulant_matrix(3, (2, 3, 1)), circ, stats=s),
+         SearchStats(nodes=8, leaves=1)),
+        # no multiplier of Z_7 maps the distances (1, 3, 2) onto (1, 2, 3)
+        (lambda s: find_relabeling(circulant_matrix(3, (1, 3, 2)), circ, stats=s),
+         SearchStats(nodes=22, leaves=0)),
+    )
+    total = SearchStats()
+    for run, expected in cases:
+        stats = SearchStats()
+        assert run(stats) == run(None)
+        assert stats == expected
+        run(total)
+        run(total)
+    assert total.nodes == 2 * sum(e.nodes for _, e in cases)
+    assert total.leaves == 2 * sum(e.leaves for _, e in cases)
+    assert total.pruned == total.solutions == 0
 
 
 def test_predemocratic():

@@ -30,6 +30,7 @@ from specialforms import (
     solve,
     verify,
 )
+from specialforms.realization import _search_tables
 
 
 def test_graph_function_basics():
@@ -163,6 +164,28 @@ def test_solve_stats():
     filtered = SearchStats()
     assert solve(fano_matrix(), 3, d_filter=6, stats=filtered) == []
     assert filtered.leaves == 57 and filtered.solutions == 0
+
+
+def test_solve_tables_are_cached_and_equal_fresh_ones():
+    fresh = _search_tables.__wrapped__
+    for r in range(2, 9):
+        assert solve(all_two(r), 2)  # a search ran on the cached tables
+        pairs, branch, drops = _search_tables(r)
+        assert _search_tables(r) is _search_tables(r)
+        assert (pairs, branch, drops) == fresh(r)
+        assert pairs == tuple(itertools.combinations(range(r), 2))
+        assert [members for members, _, _ in branch] == [
+            c
+            for size in range(r - 1, 2, -1)
+            for c in itertools.combinations(range(r), size)
+        ]
+        for members, internal, s1 in branch:
+            assert [pairs[q] for q in internal] == list(
+                itertools.combinations(members, 2)
+            )
+            assert s1 == len(members) - 1
+        assert len(drops) == len(branch)
+        assert all(type(t) is tuple for t in (pairs, branch, drops, *drops))
 
 
 def test_dimension_filter():
