@@ -11,11 +11,13 @@ f(R(x + a xi)) >= f(x) + ARMIJO * a * |xi|^2 (Absil, Mahony and Sepulchre,
 raises the value strictly, since near a maximum the Armijo margin falls
 below rounding.  A start stops, flagged converged, once |xi| < GRAD_TOL; it
 also stops when no step down to MIN_STEP passes, or after `max_iter` steps.
-The starts run as one (n, d, p) array in blocks of BLOCK_SIZE; all
-arithmetic stays within a start, so its result does not depend on its
-block.  The reported frame is the lexicographically smallest, entries
-rounded to 9 decimals and compared as numbers, among the starts within
-TIE_TOL of the maximum.
+The starts run as one (n, d, p) array in blocks sized so that the largest
+intermediate, the (p-1) x (p-1) cofactor minors of every term, holds at
+most BLOCK_FLOATS floats; all arithmetic stays within a start, so its
+result does not depend on its block.  More than MAX_RESTARTS restarts are
+refused before any work.  The reported frame is the lexicographically
+smallest, entries rounded to 9 decimals and compared as numbers, among the
+starts within TIE_TOL of the maximum.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, as_ints
+from .errors import CapacityError, DomainError, PreconditionError, as_ints
 from .forms import SpecialForm
 
 ORTHONORMALITY_ATOL = 1e-10
@@ -36,7 +38,9 @@ DEFAULT_MAX_ITER = 500
 ARMIJO = 0.5
 GRAD_TOL = 1e-7
 MIN_STEP = 1e-10
-BLOCK_SIZE = 64
+# 64 starts of the full 5-form on 10 indices: 64 * 252 terms * 5^2 * 4^2.
+BLOCK_FLOATS = 6_451_200
+MAX_RESTARTS = 100_000
 TIE_TOL = 1e-12
 
 
@@ -88,8 +92,15 @@ def _terms(form: SpecialForm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _values(x: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The form's value on each frame of an (n, d, p) stack."""
-    return (np.linalg.det(x[:, idx, :]) * signs).sum(axis=-1)
+    """The form's value on each frame of an (n, d, p) stack.
+
+    The terms are added one at a time in order.  `sum(axis=-1)` would not
+    do: it adds pairwise on a lone frame and in order on a stack."""
+    minors = np.linalg.det(x[:, idx, :]) * signs
+    total = minors[:, 0].copy()
+    for column in minors.T[1:]:
+        total += column
+    return total
 
 
 def evaluate(form: SpecialForm, frame: Frame) -> float:
@@ -242,8 +253,13 @@ def comass(
     Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
     maximum, the lexicographically smallest rounded frame is reported.
     """
+    restarts, max_iter = as_ints((restarts, max_iter), "restarts and max_iter")
     if restarts < 0:
         raise DomainError(f"restart count must be >= 0, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise CapacityError(f"restart count {restarts} exceeds the cap {MAX_RESTARTS}")
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tolerance must lie in (0, 1e-2], got {tol}")
     d, p, w = form.d, form.p, form.weight
@@ -267,8 +283,9 @@ def comass(
 
     values, iterations, converged = [], [], []
     near_v, near_x = np.empty(0), np.empty((0, d, p))
-    for lo in range(0, w + restarts, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, w + restarts)
+    block = max(1, BLOCK_FLOATS // (w * p * p * max(p - 1, 1) ** 2))
+    for lo in range(0, w + restarts, block):
+        hi = min(lo + block, w + restarts)
         fresh = rng.standard_normal((max(0, hi - max(lo, w)), d, p))
         x0 = np.concatenate([support[lo:hi], _retract(fresh)])
         x, val, its, conv = _ascend(x0, idx, signs, incidence, max_iter)

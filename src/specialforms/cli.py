@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 2 for domain or precondition failures (including
 unreadable or malformed input files), 3 when a computation exceeds a
-configured size cap.
+configured size cap.  With `--stats` every command also writes one JSON
+line to stderr: the command, the summed counters of the searches it ran,
+the elapsed seconds and, for `calibrate`, the restarts, the converged
+starts and the total ascent iterations.
 """
 
 from __future__ import annotations
@@ -10,13 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import democratic as dem
 from .calibration import comass
 from .config import RunConfig, load_config
 from .errors import CapacityError, DomainError, PreconditionError
-from .forms import SpecialForm, canonicalize
+from .forms import SearchStats, SpecialForm, canonicalize
 from .graphs import DistanceMatrix, graph_of_form, to_dot
 from .realization import forms_of, realize, solve
 
@@ -45,6 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value settings file")
     parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument("-o", "--output", help="write the result here instead of stdout")
+    parser.add_argument("--stats", action="store_true",
+                        help="print the work counters as one JSON line on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_canon = sub.add_parser("canon", help="canonical orbit representative of a form")
@@ -122,12 +129,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_canon(args, cfg: RunConfig) -> str:
+def _cmd_canon(args, cfg: RunConfig, record: dict) -> str:
     form = SpecialForm.from_dict(_read_json(args.form))
-    return _dump(canonicalize(form, dimension_cap=cfg.canon_d_cap).to_dict())
+    c = canonicalize(form, dimension_cap=cfg.canon_d_cap, stats=record["search"])
+    return _dump(c.to_dict())
 
 
-def _cmd_graph(args, cfg: RunConfig) -> str:
+def _cmd_graph(args, cfg: RunConfig, record: dict) -> str:
     form = SpecialForm.from_dict(_read_json(args.form))
     m = graph_of_form(form)
     if (args.format or cfg.format) == "dot":
@@ -135,9 +143,11 @@ def _cmd_graph(args, cfg: RunConfig) -> str:
     return _dump(m.to_dict())
 
 
-def _cmd_realize(args, cfg: RunConfig) -> str:
+def _cmd_realize(args, cfg: RunConfig, record: dict) -> str:
     m = DistanceMatrix.from_dict(_read_json(args.matrix))
-    solutions = solve(m, args.p, d_filter=args.d, vertex_cap=cfg.solver_r_cap)
+    solutions = solve(
+        m, args.p, d_filter=args.d, vertex_cap=cfg.solver_r_cap, stats=record["search"]
+    )
     if args.invariant_under is not None:
         sigma = _parse_ints(args.invariant_under, "--invariant-under")
         if sorted(sigma) != list(range(1, m.r + 1)):
@@ -153,7 +163,7 @@ def _cmd_realize(args, cfg: RunConfig) -> str:
     return _dump(out)
 
 
-def _cmd_democratic_matrix(args, cfg: RunConfig) -> str:
+def _cmd_democratic_matrix(args, cfg: RunConfig, record: dict) -> str:
     distances = (
         _parse_ints(args.distances, "distances") if args.distances else None
     )
@@ -183,7 +193,7 @@ def _cmd_democratic_matrix(args, cfg: RunConfig) -> str:
     return _dump(m.to_dict())
 
 
-def _cmd_democratic_enum(args, cfg: RunConfig) -> str:
+def _cmd_democratic_enum(args, cfg: RunConfig, record: dict) -> str:
     families = dem.symmetry_families(args.r)
     return _dump(
         {
@@ -194,11 +204,11 @@ def _cmd_democratic_enum(args, cfg: RunConfig) -> str:
     )
 
 
-def _cmd_democratic_count(args, cfg: RunConfig) -> str:
+def _cmd_democratic_count(args, cfg: RunConfig, record: dict) -> str:
     return _dump(dem.count_symmetry_families(args.r))
 
 
-def _cmd_democratic_classify(args, cfg: RunConfig) -> str:
+def _cmd_democratic_classify(args, cfg: RunConfig, record: dict) -> str:
     alphabet = (
         _parse_ints(args.alphabet, "--alphabet") if args.alphabet else None
     )
@@ -208,17 +218,23 @@ def _cmd_democratic_classify(args, cfg: RunConfig) -> str:
         max_distance=args.max_distance,
         alphabet=alphabet,
         vertex_cap=cfg.autom_r_cap,
+        stats=record["search"],
     )
     return _dump(catalog.to_dict())
 
 
-def _cmd_calibrate(args, cfg: RunConfig) -> str:
+def _cmd_calibrate(args, cfg: RunConfig, record: dict) -> str:
     form = SpecialForm.from_dict(_read_json(args.form))
     report = comass(
         form,
         restarts=args.restarts if args.restarts is not None else cfg.comass_restarts,
         tol=args.tol if args.tol is not None else cfg.comass_tol,
         seed=cfg.seed,
+    )
+    record.update(
+        restarts=report.n_restarts,
+        converged=sum(report.converged),
+        iterations=sum(report.iterations),
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -228,19 +244,23 @@ def _cmd_calibrate(args, cfg: RunConfig) -> str:
     return _dump(report.to_dict())
 
 
-def _cmd_bell(args, cfg: RunConfig) -> str:
+def _cmd_bell(args, cfg: RunConfig, record: dict) -> str:
     return _dump(dem.bell(args.m))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # What --stats prints: the handler's searches add to "search", and a
+    # handler may add fields of its own.
+    record = {"search": SearchStats()}
+    start = time.perf_counter()
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
-        text = args.handler(args, cfg)
+        text = args.handler(args, cfg, record)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -250,6 +270,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.stats:
+            command = [args.command, getattr(args, "dem_command", None)]
+            print(json.dumps({
+                "command": " ".join(filter(None, command)),
+                **asdict(record.pop("search")),
+                **record,
+                "seconds": time.perf_counter() - start,
+            }), file=sys.stderr)
     target = args.output or cfg.output
     if target:
         with open(target, "w", encoding="utf-8") as fh:

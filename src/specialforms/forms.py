@@ -294,6 +294,14 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # swapped support would have t+1 rows below the old row t: a smaller
 # sorted row list.
 #
+# Each term keeps the list of its fixed labels: labeling an index appends
+# the label to the list of every term that contains the index, and undoing
+# it pops the label again.  Labels are handed out in increasing order along
+# a path, so every list is sorted by construction and a candidate row is
+# the list followed by the first fresh labels, with no sort.  The incumbent
+# bound on row t is read once per node: a new incumbent can only come from
+# the node's own subtree, so it shares rows 0..t-1 with the node.
+#
 # Automorphisms of the support prune the search (McKay & Piperno, "Practical
 # graph isomorphism, II", 2014).  Let l0 be the labeling that first reaches
 # the incumbent rows.  A later leaf l that ties with them gives
@@ -451,12 +459,30 @@ def canonicalize(
     term_of = {frozenset(t): k for k, t in enumerate(members)}
     signs = [g for _, g in form.terms]
 
+    terms_of = {
+        x: [k for k, t in enumerate(members) if x in t] for x in range(1, form.d + 1)
+    }
+
     label_of: dict[int, int] = {}
+    fixed: list[list[int]] = [[] for _ in range(w)]  # each term's labels
     placed = [False] * w
     rows: list[tuple[int, ...]] = []
+    order: list[int] = []  # the term placed as each row
     path: list = []  # the choice made at each branching node above
     gens: list[_Generator] = []
-    best: dict = {"rows": None, "inverse": None, "path": None, "ties": 0, "jump": None}
+    best: dict = {
+        "rows": None, "inverse": None, "order": None, "path": None, "ties": 0, "jump": None
+    }
+
+    def label(x: int, lab: int) -> None:
+        label_of[x] = lab
+        for k in terms_of[x]:
+            fixed[k].append(lab)
+
+    def unlabel(x: int) -> None:
+        del label_of[x]
+        for k in terms_of[x]:
+            fixed[k].pop()
 
     def finish() -> None:
         st.leaves += 1
@@ -464,15 +490,18 @@ def canonicalize(
         if best["rows"] is None or rows_t < best["rows"]:
             best["rows"] = rows_t
             best["inverse"] = {lab: x for x, lab in label_of.items()}
+            best["order"] = list(order)
             best["path"] = list(path)
             best["ties"] = 1
         elif rows_t == best["rows"]:
             points = {x: best["inverse"][lab] for x, lab in label_of.items()}
             moved = frozenset(x for x, y in points.items() if x != y)
-            terms = tuple(
-                term_of[frozenset(points[x] for x in members[k])] for k in range(w)
-            )
-            gens.append(_Generator(points, moved, terms))
+            # the tie puts the same row where l0 does, so the term placed as
+            # row t maps onto l0's term there
+            terms = [0] * w
+            for a, b in zip(order, best["order"]):
+                terms[a] = b
+            gens.append(_Generator(points, moved, tuple(terms)))
             best["ties"] += 1
             # back to the node where this path leaves l0's, see above
             best["jump"] = next(
@@ -489,6 +518,10 @@ def canonicalize(
         best["jump"] = None
         return False
 
+    def fixing(seen: int) -> list[_Generator]:
+        """The generators from the `seen`-th on that fix every labeled index."""
+        return [g for g in gens[seen:] if g.moved.isdisjoint(label_of)]
+
     def meets(item: int, explored, maps: list) -> bool:
         """Whether the maps' closure takes item to an explored sibling."""
         if any(a in explored for a in _orbit(item, lambda a: [m[a] for m in maps])):
@@ -499,25 +532,27 @@ def canonicalize(
     def assign(t: int, term: int, need: list[int], labs: tuple[int, ...]) -> None:
         """Hand out `labs` smallest first to the unlabeled indices `need`."""
         if len(need) < 2:
-            label_of.update(zip(need, labs))
+            for x in need:
+                label(x, labs[0])
             place(t + 1)
             for x in need:
-                del label_of[x]
+                unlabel(x)
             return
         explored: set[int] = set()
+        maps: list = []
+        seen = 0
         for x in need:
-            if explored and gens and meets(x, explored, [
-                g.points
-                for g in gens
-                if g.terms[term] == term and g.moved.isdisjoint(label_of)
-            ]):
+            if explored and len(gens) > seen:
+                maps += [g.points for g in fixing(seen) if g.terms[term] == term]
+                seen = len(gens)
+            if maps and meets(x, explored, maps):
                 continue
             explored.add(x)
-            label_of[x] = labs[0]
+            label(x, labs[0])
             path.append(x)
             assign(t, term, [y for y in need if y != x], labs[1:])
             path.pop()
-            del label_of[x]
+            unlabel(x)
             if jumped():
                 return
 
@@ -528,30 +563,40 @@ def canonicalize(
             return
         prev = rows[-1] if rows else None
         n = len(label_of)
+        fresh = tuple(range(n + 1, n + 1 + p))
         cands = []
         for term in range(w):
             if not placed[term]:
-                fixed = sorted(label_of[x] for x in members[term] if x in label_of)
-                combo = tuple(range(n + 1, n + 1 + p - len(fixed)))
-                cands.append((tuple(fixed) + combo, term, combo))
+                combo = fresh[: p - len(fixed[term])]
+                cands.append((tuple(fixed[term]) + combo, term, combo))
         cands.sort()
+        incumbent = best["rows"]
+        bound = incumbent[t] if incumbent and list(incumbent[:t]) == rows else None
         explored: dict[tuple[int, ...], set[int]] = {}
+        maps: list = []
+        seen = 0
         for tup, term, combo in cands:
             if prev is not None and tup <= prev:
                 continue
-            b = best["rows"]
-            if b is not None and list(b[:t]) == rows and tup > b[t]:
+            if best["rows"] is not incumbent:
+                incumbent = best["rows"]
+                bound = incumbent[t]
+            if bound is not None and tup > bound:
                 break  # candidates are sorted; nothing below can beat the incumbent
-            if combo in explored and gens and meets(term, explored[combo], [
-                g.terms for g in gens if g.moved.isdisjoint(label_of)
-            ]):
-                continue
+            if combo in explored:
+                if len(gens) > seen:
+                    maps += [g.terms for g in fixing(seen)]
+                    seen = len(gens)
+                if maps and meets(term, explored[combo], maps):
+                    continue
             explored.setdefault(combo, set()).add(term)
             placed[term] = True
             rows.append(tup)
+            order.append(term)
             path.append((term, combo))
             assign(t, term, [x for x in members[term] if x not in label_of], combo)
             path.pop()
+            order.pop()
             rows.pop()
             placed[term] = False
             if jumped():

@@ -3,12 +3,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from helpers import cayley_form, random_form
 from specialforms import (
+    CapacityError,
     ComassReport,
     DomainError,
     Frame,
@@ -17,7 +19,8 @@ from specialforms import (
     comass,
     evaluate,
 )
-from specialforms.calibration import BLOCK_SIZE, _lex_smallest
+from specialforms import calibration
+from specialforms.calibration import MAX_RESTARTS, _lex_smallest
 
 
 def form(d, p, *terms):
@@ -253,11 +256,13 @@ def test_random_restarts_converge_on_e12_plus_e34():
     assert sum(ok) >= 0.95 * 200
 
 
-def test_restarts_do_not_depend_on_their_batch():
+def test_restarts_do_not_depend_on_their_batch(monkeypatch):
     f = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), -1))
     k = 10
+    block = 16  # starts per block: 3 terms * 2^2 * 1^2 floats each
+    monkeypatch.setattr(calibration, "BLOCK_FLOATS", 12 * block)
     short = comass(f, restarts=k, seed=8)
-    long = comass(f, restarts=BLOCK_SIZE + k, seed=8)
+    long = comass(f, restarts=block + k, seed=8)  # two blocks
     n = f.weight + k
     assert np.allclose(short.restart_values, long.restart_values[:n], rtol=0, atol=1e-12)
     assert short.iterations == long.iterations[:n]
@@ -282,3 +287,45 @@ def test_comass_edge_shapes():
     bare = comass(form(4, 2, ((1, 2), 1), ((1, 3), 1)), restarts=0)
     assert len(bare.restart_values) == len(bare.iterations) == 2
     assert bare.max_value == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def test_values_do_not_depend_on_the_block(monkeypatch):
+    # Eight or more terms: numpy's sum(axis=-1) adds pairwise on a lone
+    # frame and in order on a stack, which used to change the last bit of a
+    # start's value with the starts that shared its block.
+    rng = random.Random(5)
+    subsets = list(itertools.combinations(range(1, 7), 2))
+    f = form(6, 2, *((s, rng.choice((1, -1))) for s in rng.sample(subsets, 9)))
+    whole = comass(f, restarts=60, seed=4).to_dict()
+    for block in (1, 7, 64):
+        monkeypatch.setattr(calibration, "BLOCK_FLOATS", 9 * 4 * block)
+        assert comass(f, restarts=60, seed=4).to_dict() == whole
+    x = np.stack([rep.vectors.T for rep in (comass(f, restarts=3, seed=s).frame
+                                           for s in range(4))])
+    stacked = calibration._values(x, *calibration._terms(f))
+    for frame, value in zip(x, stacked):
+        assert evaluate(f, Frame(frame.T)) == value
+
+
+def test_restart_count_and_max_iter_must_be_integers():
+    f = form(3, 2, ((1, 2), 1))
+    for bad in (2.5, 2.0, "3", None):
+        with pytest.raises(DomainError):
+            comass(f, bad)
+        with pytest.raises(DomainError):
+            comass(f, 2, max_iter=bad)
+    with pytest.raises(DomainError):
+        comass(f, 2, max_iter=-1)
+    rep = comass(f, np.int64(2), max_iter=np.int64(5))
+    assert rep.n_restarts == 2 and type(rep.n_restarts) is int
+    assert max(rep.iterations) <= 5
+    assert ComassReport.from_dict(rep.to_dict()).n_restarts == 2
+
+
+def test_restarts_above_the_cap_are_refused_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        comass(cayley_form(), MAX_RESTARTS + 1)
+    with pytest.raises(CapacityError):
+        comass(cayley_form(), 10**18)
+    assert time.perf_counter() - start < 1.0

@@ -5,14 +5,20 @@ import time
 
 import pytest
 
+from helpers import cayley_form
 from specialforms import (
     DistanceMatrix,
     RunConfig,
+    SearchStats,
     SpecialForm,
+    canonicalize,
     circulant_matrix,
+    classify_small,
+    comass,
     load_config,
+    solve,
 )
-from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL
+from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL, MAX_RESTARTS
 from specialforms.cli import main
 from specialforms.democratic import (
     MAX_BELL_M,
@@ -368,3 +374,85 @@ def test_calibrate_deterministic_for_seed(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["--seed", "9", "calibrate", path, "--restarts", "8"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_restarts_above_the_cap_exit_3_at_once(tmp_path, capsys):
+    path = write_json(tmp_path / "cayley.json", cayley_form().to_dict())
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(f"comass_restarts = {MAX_RESTARTS + 1}\n", encoding="utf-8")
+    for argv in (
+        ["calibrate", path, "--restarts", str(MAX_RESTARTS + 1)],
+        ["calibrate", path, "--restarts", str(10**8)],
+        ["--config", str(cfg), "calibrate", path],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the cap" in err
+
+
+def _stats_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert line.pop("seconds") >= 0.0
+    return line
+
+
+def test_stats_flag(tmp_path, capsys, pentagon_file):
+    cayley = cayley_form()
+    form_path = write_json(tmp_path / "cayley.json", cayley.to_dict())
+    canon, real, cls = SearchStats(), SearchStats(), SearchStats()
+    canonicalize(cayley, stats=canon)
+    solve(circulant_matrix(2, (1, 2)), 2, stats=real)
+    classify_small(5, 2, max_distance=2, stats=cls)
+    # one of this form's 13 starts stops short of the gradient tolerance
+    unsettled = SpecialForm.from_terms(
+        5, 4, [((1, 2, 3, 4), 1), ((1, 2, 3, 5), -1), ((1, 2, 4, 5), -1),
+               ((1, 3, 4, 5), -1), ((2, 3, 4, 5), 1)]
+    )
+    unsettled_path = write_json(tmp_path / "unsettled.json", unsettled.to_dict())
+    rep = comass(unsettled, restarts=8)
+    assert 0 < sum(rep.converged) < len(rep.converged)
+    calibrate = {
+        **vars(SearchStats()),
+        "restarts": 8,
+        "converged": sum(rep.converged),
+        "iterations": sum(rep.iterations),
+    }
+    cases = [
+        (["canon", form_path], "canon", vars(canon)),
+        (["realize", pentagon_file, "--p", "2", "--all-signs"], "realize", vars(real)),
+        (["democratic", "classify", "5", "--p", "2", "--max-distance", "2"],
+         "democratic classify", vars(cls)),
+        (["calibrate", unsettled_path, "--restarts", "8"], "calibrate", calibrate),
+        (["graph", form_path], "graph", vars(SearchStats())),
+        (["democratic", "matrix", "--circulant", "7"], "democratic matrix",
+         vars(SearchStats())),
+        (["democratic", "enum", "12"], "democratic enum", vars(SearchStats())),
+        (["bell", "6"], "bell", vars(SearchStats())),
+    ]
+    assert canon.nodes and real.nodes and cls.nodes
+    for argv, command, counters in cases:
+        assert main(argv) == 0
+        plain, err = capsys.readouterr()
+        assert err == ""
+        lines = []
+        for _ in range(2):
+            assert main(["--stats", *argv]) == 0
+            out, err = capsys.readouterr()
+            assert out == plain
+            lines.append(_stats_line(err))
+        assert lines[0] == lines[1] == {"command": command, **counters}
+
+
+def test_stats_flag_on_a_refused_run(tmp_path, capsys):
+    f = SpecialForm.from_terms(20, 2, [((1, 2), 1)])
+    path = write_json(tmp_path / "big.json", f.to_dict())
+    assert main(["--stats", "canon", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, second = err.splitlines()
+    assert first.startswith("error:")
+    assert _stats_line(second) == {"command": "canon", **vars(SearchStats())}
