@@ -22,12 +22,15 @@ starts within TIE_TOL of the maximum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError, PreconditionError, as_ints
 from .forms import SpecialForm
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 
 ORTHONORMALITY_ATOL = 1e-10
 
@@ -51,6 +54,7 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2:
             raise DomainError("frame must be a 2-dimensional array")
@@ -74,6 +78,7 @@ class Frame:
     @classmethod
     def coordinate(cls, d: int, indices) -> "Frame":
         """The coordinate plane spanned by the given axes, in order."""
+        import numpy as np
         (d,) = as_ints((d,), "dimension")
         idx = as_ints(indices, "axes")
         if any(not 1 <= i <= d for i in idx):
@@ -86,6 +91,7 @@ class Frame:
 
 def _terms(form: SpecialForm) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based (w, p) index array and (w,) sign vector of the terms."""
+    import numpy as np
     idx = np.array([s.indices for s, _ in form.terms], dtype=int) - 1
     signs = np.array([g for _, g in form.terms], dtype=float)
     return idx, signs
@@ -96,6 +102,7 @@ def _values(x: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
     The terms are added one at a time in order.  `sum(axis=-1)` would not
     do: it adds pairwise on a lone frame and in order on a stack."""
+    import numpy as np
     minors = np.linalg.det(x[:, idx, :]) * signs
     total = minors[:, 0].copy()
     for column in minors.T[1:]:
@@ -119,6 +126,7 @@ def _gradient(x: np.ndarray, idx: np.ndarray, incidence: np.ndarray) -> np.ndarr
 
     The gradient of a minor is its cofactor matrix; `incidence[t, b, i]` is
     the sign of term t where its b-th index is axis i, and zero elsewhere."""
+    import numpy as np
     p = x.shape[2]
     others = np.array([np.delete(np.arange(p), i) for i in range(p)])
     mats = x[:, idx, :]
@@ -128,6 +136,7 @@ def _gradient(x: np.ndarray, idx: np.ndarray, incidence: np.ndarray) -> np.ndarr
 
 
 def _retract(a: np.ndarray) -> np.ndarray:
+    import numpy as np
     q, r = np.linalg.qr(a)
     s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
@@ -138,6 +147,7 @@ def _ascend(x, idx, signs, incidence, max_iter):
     """Armijo gradient ascent of every start in an (n, d, p) block.
 
     Returns the final frames, values, step counts and converged flags."""
+    import numpy as np
     x = x.copy()
     val = _values(x, idx, signs)
     step = np.ones(len(x))
@@ -177,6 +187,7 @@ def _lex_smallest(frames: np.ndarray) -> int:
     """Index of the lexicographically smallest frame after rounding to 9
     decimals, comparing entries as numbers; exact entries, then the index,
     break remaining ties."""
+    import numpy as np
     flat = frames.reshape(len(frames), -1)
     keys = np.concatenate([np.round(flat, 9), flat], axis=1)
     return int(np.lexsort(keys.T[::-1])[0])
@@ -234,7 +245,7 @@ class ComassReport:
                 restart_values=tuple(float(x) for x in data["restart_values"]),
                 iterations=as_ints(data["iterations"], "iterations"),
                 converged=tuple(map(_as_bool, data["converged"])),
-                frame=Frame(np.array(data["frame"], dtype=float)),
+                frame=Frame(data["frame"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed comass report: {exc}") from exc
@@ -253,6 +264,7 @@ def comass(
     Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
     maximum, the lexicographically smallest rounded frame is reported.
     """
+    import numpy as np
     restarts, max_iter = as_ints((restarts, max_iter), "restarts and max_iter")
     if restarts < 0:
         raise DomainError(f"restart count must be >= 0, got {restarts}")
@@ -260,6 +272,8 @@ def comass(
         raise CapacityError(f"restart count {restarts} exceeds the cap {MAX_RESTARTS}")
     if max_iter < 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise DomainError(f"tolerance must be a real number, got {tol!r}")
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tolerance must lie in (0, 1e-2], got {tol}")
     d, p, w = form.d, form.p, form.weight

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import democratic as dem
@@ -32,7 +33,66 @@ def _read_json(path: str) -> dict:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """`json.dumps(obj, indent=2) + "\n"`, byte for byte.
+
+    With `indent` set, json encodes in pure Python, one generator per
+    container.  This encoder appends every piece to one list and joins it
+    once.  It writes a list of plain ints in one join, and any other list
+    that holds no list, tuple or dict in one call to json without `indent`,
+    which runs in C.  Every other scalar and every non-str key goes through
+    json too, so scalars cannot differ and an unencodable object raises
+    json's TypeError.  Circular references are not detected.
+    """
+    parts: list[str] = []
+    _encode(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(obj, nl: str, put) -> None:
+    """Append the encoding of obj; `nl` is a newline and the current indent."""
+    if type(obj) is str:
+        put(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        put(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):  # bool is not int here
+            put("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        if not any(isinstance(x, (list, tuple, dict)) for x in obj):
+            # no nesting: json's C encoder writes the items, one per line
+            items = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+            put("[" + inner + items + nl + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            put(sep)
+            _encode(x, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            # json.dumps({key: 0}) is '{"<key>": 0}'; it refuses bad keys
+            quoted = (
+                encode_basestring_ascii(key)
+                if type(key) is str
+                else json.dumps({key: 0})[1:-4]
+            )
+            put(sep + quoted + ": ")
+            _encode(value, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        put(json.dumps(obj))
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:

@@ -16,9 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DomainError, as_ints
 from .forms import SearchStats
@@ -28,6 +26,9 @@ from .graphs import (
     find_relabeling,
     is_democratic,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 
 # Caps, checked before any work: group order and matrix size, r for the
 # family counts, families listed at once, and m for bell(m), which must stay
@@ -67,6 +68,7 @@ def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
     d_{i+j-2}, and entry (i, r) is d_{2i-2}.  Every row contains each
     index class exactly once.
     """
+    import numpy as np
     (r,) = as_ints((r,), "vertex count")
     if r < 2 or r % 2 != 0:
         raise DomainError(f"vertex count must be even and >= 2, got {r}")
@@ -197,6 +199,7 @@ def product_matrix(
     element.  Translations of the group are automorphisms, so the result is
     democratic for every assignment.
     """
+    import numpy as np
     fac = _factorization(factorization)
     if assignment is None:
         assignment = DistanceAssignment.sequential(fac.factors)
@@ -217,6 +220,7 @@ def cyclic_shift_generators(
     factorization: Factorization | Sequence[int],
 ) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations (1-based) shifting each cyclic factor by one."""
+    import numpy as np
     fac = _factorization(factorization)
     positions = np.arange(fac.r).reshape(fac.factors)
     return tuple(
@@ -334,6 +338,7 @@ def _first_rows(r: int, q: int, size: int, stats: SearchStats) -> np.ndarray:
     A child closes a value its parent holds once, or opens an unused one
     while the parent holds fewer than q values (with 2q slots, that leaves a
     slot for each value held once).  Only the children are built."""
+    import numpy as np
     ranks = np.arange(size, dtype=np.min_scalar_type(size))
     rows = np.zeros((1, 0), ranks.dtype)
     for _ in range(r - 1):
@@ -356,6 +361,7 @@ def _same_triangles(m: np.ndarray, q: int) -> np.ndarray:
     """Which matrices of ranks below q (diagonals unread) show every vertex
     the same multiset of triangles (shorter and longer side at the vertex,
     opposite side): a necessary condition for vertex transitivity."""
+    import numpy as np
     r = m.shape[1]
     v = np.arange(r)[:, None]
     a, b = (v + 1 + np.array(np.triu_indices(r - 1, 1))[:, None]) % r
@@ -392,6 +398,7 @@ def classify_small(
     prefixes entered, root included, as nodes, rejected value choices as
     pruned, candidates as leaves and catalog entries as solutions.
     """
+    import numpy as np
     r, p = as_ints((r, p), "vertex count and degree")
     if r not in CANDIDATES_PER_VALUE_SET:
         if r > 2 and r % 2 and all(r % f for f in range(3, int(r**0.5) + 1, 2)):

@@ -4,7 +4,7 @@ Three failure modes are distinguished so the command line tool can map them
 onto distinct exit codes: bad input values, violated call preconditions, and
 requests that exceed a configured size cap.  `as_ints` is the strict
 integer conversion that every parser uses, so no float is silently
-truncated.
+truncated and no bool is read as a number.
 """
 
 import operator
@@ -31,8 +31,12 @@ def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as ints, raising DomainError for any non-integer such as 1.5.
 
     Python and numpy integers pass; floats and strings do not, even when
-    integral, because converting them would accept truncated input.
+    integral, because converting them would accept truncated input.  Nor do
+    bools, so that JSON `true` is not read as 1.
     """
+    values = tuple(values)
+    if bool in map(type, values):
+        raise DomainError(f"{what} must be integers, got a boolean in {values}")
     try:
         return tuple(map(operator.index, values))
     except TypeError as exc:

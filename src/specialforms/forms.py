@@ -14,7 +14,6 @@ sequence with +1 before -1.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -160,12 +159,8 @@ class SpecialForm:
     @classmethod
     def from_dict(cls, data: dict) -> "SpecialForm":
         try:
-            terms = [
-                (tuple(t["indices"]), operator.index(t["sign"])) for t in data["terms"]
-            ]
-            return cls.from_terms(
-                operator.index(data["d"]), operator.index(data["p"]), terms
-            )
+            terms = [(tuple(t["indices"]), t["sign"]) for t in data["terms"]]
+            return cls.from_terms(data["d"], data["p"], terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed form object: {exc}") from exc
 

@@ -199,6 +199,10 @@ def solve(
     the last subset of each size that contains v.  The leaf test on the
     pair weights is the s_v = 2 case, applied pair by pair.
 
+    A position whose bound is 0 has one child, weight 0, which changes no
+    state, so runs of such positions are walked in one loop; each still
+    counts as a node and has its drops checked.
+
     Solutions are sorted by their values.  When `stats` is given, the
     search adds its node, leaf, prune and solution counts to it.
     """
@@ -234,6 +238,8 @@ def solve(
     chosen: list[tuple[tuple[int, ...], int]] = []
     solutions: list[GraphFunction] = []
     nodes = leaves = pruned = 0
+    last = len(branch)
+    pair_at, vert_at = pair_budget.__getitem__, vert_budget.__getitem__
 
     def settle() -> None:
         vb = list(vert_budget)
@@ -261,36 +267,39 @@ def solve(
 
     def descend(k: int) -> None:
         nonlocal nodes, leaves, pruned
-        nodes += 1
-        if k == len(branch):
-            leaves += 1
-            settle()
-            return
-        for v, s1 in drops[k]:
-            if pair_sum[v] > s1 * vert_budget[v]:
-                pruned += 1
+        while True:  # through the positions whose bound is 0
+            nodes += 1
+            if k == last:
+                leaves += 1
+                settle()
                 return
-        members, internal, s1 = branch[k]
-        ub = min(vert_budget[v] for v in members)
-        for q in internal:
-            if pair_budget[q] < ub:
-                ub = pair_budget[q]
-        for c in range(ub + 1):
-            if c:
-                for v in members:
-                    vert_budget[v] -= c
-                    pair_sum[v] -= c * s1
-                for q in internal:
-                    pair_budget[q] -= c
-                chosen.append((members, c))
+            for v, s1 in drops[k]:
+                if pair_sum[v] > s1 * vert_budget[v]:
+                    pruned += 1
+                    return
+            members, internal, s1 = branch[k]
+            ub = min(map(pair_at, internal))  # the internal pairs usually bind
+            if ub:
+                ub = min(ub, min(map(vert_at, members)))
+                if ub:
+                    break
+            k += 1
+        descend(k + 1)  # weight 0, then 1..ub, each one unit above the last
+        chosen.append((members, 0))
+        for c in range(1, ub + 1):
+            for v in members:
+                vert_budget[v] -= 1
+                pair_sum[v] -= s1
+            for q in internal:
+                pair_budget[q] -= 1
+            chosen[-1] = (members, c)
             descend(k + 1)
-            if c:
-                for v in members:
-                    vert_budget[v] += c
-                    pair_sum[v] += c * s1
-                for q in internal:
-                    pair_budget[q] += c
-                chosen.pop()
+        chosen.pop()
+        for v in members:
+            vert_budget[v] += ub
+            pair_sum[v] += ub * s1
+        for q in internal:
+            pair_budget[q] += ub
 
     descend(0)
     solutions.sort(key=lambda f: f.values)

@@ -160,6 +160,21 @@ def test_comass_validation():
         comass(f, tol=0.5)
 
 
+@pytest.mark.parametrize("tol", ["1e-3", True, None, 1e-3j, [1e-3]])
+def test_comass_refuses_a_tolerance_that_is_not_a_real_number(tol):
+    with pytest.raises(DomainError, match="tolerance"):
+        comass(form(3, 2, ((1, 2), 1)), 2, tol)
+
+
+def test_comass_accepts_numpy_reals_and_refuses_bool_restarts():
+    f = form(3, 2, ((1, 2), 1))
+    assert comass(f, np.int64(2), np.float32(1e-3)).n_restarts == 2
+    with pytest.raises(DomainError):
+        comass(f, True)
+    with pytest.raises(DomainError):
+        comass(f, 2, max_iter=False)
+
+
 def test_comass_deterministic_for_fixed_seed():
     f = form(3, 2, ((1, 2), 1), ((1, 3), 1))
     a = comass(f, restarts=15, seed=3)

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cayley_form
 from specialforms import (
@@ -15,11 +22,13 @@ from specialforms import (
     circulant_matrix,
     classify_small,
     comass,
+    forms_of,
     load_config,
+    realize,
     solve,
 )
 from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL, MAX_RESTARTS
-from specialforms.cli import main
+from specialforms.cli import _dump, main
 from specialforms.democratic import (
     MAX_BELL_M,
     MAX_FAMILIES,
@@ -303,6 +312,9 @@ def test_non_integer_inputs_exit_2(tmp_path, capsys):
     )
     assert main(["graph", sign]) == 2
     assert "integer" in capsys.readouterr().err
+    boolean = write_json(tmp_path / "m2.json", {"r": 2, "entries": [[0, True], [True, 0]]})
+    assert main(["realize", boolean, "--p", "2"]) == 2
+    assert "integer" in capsys.readouterr().err
 
 
 def test_config_file(tmp_path, capsys):
@@ -456,3 +468,69 @@ def test_stats_flag_on_a_refused_run(tmp_path, capsys):
     first, second = err.splitlines()
     assert first.startswith("error:")
     assert _stats_line(second) == {"command": "canon", **vars(SearchStats())}
+
+
+_floats = st.floats() | st.sampled_from((math.nan, math.inf, -math.inf, -0.0))
+_strings = st.text() | st.sampled_from(("", "é→𝄞", '"\\/\b\f\n\r\t\x00\x1f', "\ud800"))
+_keys = _strings | st.integers() | _floats | st.booleans() | st.none()
+_json_like = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _strings
+    | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(obj=_json_like)
+def test_dump_equals_json_dumps_indent_2(obj):
+    assert _dump(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj", [object(), {"a": [1, b"x"]}, [{(1, 2): 0}], {1, 2}, {"f": 1j}]
+)
+def test_dump_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        _dump(obj)
+
+
+def test_realize_output_is_json_dumps_indent_2(tmp_path, capsys):
+    m = DistanceMatrix.from_rows([[0 if i == j else 2 for j in range(6)] for i in range(6)])
+    path = write_json(tmp_path / "all_two.json", m.to_dict())
+    assert main(["realize", path, "--p", "4", "--all-signs"]) == 0
+    out, _ = capsys.readouterr()
+    solutions = solve(m, 4)
+    expected = {"r": 6, "p": 4, "count": 210, "solutions": [
+        {"function": f.to_dict(), "realization": realize(f).to_dict(),
+         "forms": [g.to_dict() for g in forms_of(realize(f))]}
+        for f in solutions
+    ]}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_numpy_loads_only_for_the_commands_that_use_it(tmp_path, form_file, pentagon_file):
+    out = tmp_path / "out.json"
+    script = f"""
+import sys
+import specialforms
+from specialforms.cli import main
+for argv in (["canon", {form_file!r}], ["graph", {form_file!r}],
+             ["realize", {pentagon_file!r}, "--p", "2", "--all-signs"]):
+    assert main(["-o", {str(out)!r}, *argv]) == 0
+print("numpy" in sys.modules)
+assert main(["-o", {str(out)!r}, "calibrate", {form_file!r}, "--restarts", "2"]) == 0
+print("numpy" in sys.modules)
+"""
+    src = str(Path(__import__("specialforms").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -22,9 +23,11 @@ from specialforms import (
     OrientedSubset,
     SearchStats,
     circulant_matrix,
+    classify_small,
     equivalent,
     forms_of,
     graph_of_form,
+    is_admissible,
     lift_symmetry,
     realize,
     solve,
@@ -164,6 +167,66 @@ def test_solve_stats():
     filtered = SearchStats()
     assert solve(fano_matrix(), 3, d_filter=6, stats=filtered) == []
     assert filtered.leaves == 57 and filtered.solutions == 0
+
+
+def _values_digest(solutions) -> str:
+    return hashlib.sha256(repr([f.values for f in solutions]).encode()).hexdigest()[:16]
+
+
+# Every all-2 row up to the vertex cap: (r, p, solutions, nodes, leaves,
+# pruned, digest of the solution values).  A change to the cost of a node
+# must leave the tree, and so every figure here, as it is.
+ALL_TWO_ROWS = [
+    (1, 2, 0, 0, 0, 0, '4f53cda18c2baa0c'),
+    (1, 3, 0, 0, 0, 0, '4f53cda18c2baa0c'),
+    (1, 4, 0, 0, 0, 0, '4f53cda18c2baa0c'),
+    (2, 2, 1, 1, 1, 0, 'f67e1ac0582e2d7b'),
+    (2, 3, 0, 1, 1, 0, '4f53cda18c2baa0c'),
+    (2, 4, 0, 1, 1, 0, '4f53cda18c2baa0c'),
+    (3, 2, 1, 1, 1, 0, '736c6754ef8de2d9'),
+    (3, 3, 1, 1, 1, 0, '9d80a65f1e2e30e8'),
+    (3, 4, 1, 1, 1, 0, '8a6ae473312128b8'),
+    (4, 2, 1, 5, 1, 0, '1fdc9904a93f9d44'),
+    (4, 3, 5, 15, 5, 0, 'b86d9a6d7dd4483b'),
+    (4, 4, 5, 32, 11, 4, '80586c8990de3095'),
+    (5, 2, 1, 16, 1, 0, 'f422c5a02c83a191'),
+    (5, 3, 15, 162, 21, 6, '5bacbdfcd48330d9'),
+    (5, 4, 45, 1078, 93, 209, '438087dfaba0cfde'),
+    (6, 2, 1, 42, 1, 0, 'e095b89c99d135ee'),
+    (6, 3, 30, 1446, 54, 119, '90da3aff84e10352'),
+    (6, 4, 210, 10428, 285, 927, 'dd5939f23fd93206'),
+    (7, 2, 1, 99, 1, 0, 'ff38838cc0fb7f5b'),
+    (7, 3, 30, 12471, 57, 1100, '6de3e6add4f278fd'),
+    (7, 4, 450, 175821, 474, 17024, '59a4f9f9554ee719'),
+    (8, 2, 1, 219, 1, 0, '4ecdb5b211df3183'),
+    (8, 3, 0, 38306, 0, 849, '4f53cda18c2baa0c'),
+    (8, 4, 0, 1607524, 0, 61965, '4f53cda18c2baa0c'),
+]
+
+
+@pytest.mark.parametrize(
+    "r, p, count, nodes, leaves, pruned, digest",
+    ALL_TWO_ROWS,
+    ids=[f"r{r}-p{p}" for r, p, *_ in ALL_TWO_ROWS],
+)
+def test_solve_pinned_on_the_all_two_rows(r, p, count, nodes, leaves, pruned, digest):
+    stats = SearchStats()
+    solutions = solve(all_two(r), p, stats=stats)
+    assert stats == SearchStats(nodes, leaves, pruned, count)
+    assert len(solutions) == count
+    assert _values_digest(solutions) == digest
+
+
+def test_solve_pinned_on_the_r7_catalog():
+    stats = SearchStats()
+    solutions = [
+        f
+        for entry in classify_small(7, 3, 3).entries
+        if is_admissible(entry.matrix)
+        for f in solve(entry.matrix, 3, stats=stats)
+    ]
+    assert stats == SearchStats(nodes=60172, leaves=432, pruned=4716, solutions=360)
+    assert _values_digest(solutions) == "cb6c82219c65eabb"
 
 
 def test_solve_tables_are_cached_and_equal_fresh_ones():

@@ -1,9 +1,9 @@
 """Round-trip and rejection properties of every `from_dict`.
 
 Round trips compare `to_dict` outputs, since frames compare by identity.
-Rejection replaces one integer in a valid dict by a non-integral float, or
-one flag by a string or an integer, and expects DomainError, as it does for
-a dict missing a key.
+Rejection replaces one integer in a valid dict by a non-integral float or
+a boolean, or one flag by a string or an integer, and expects DomainError,
+as it does for a dict missing a key.
 """
 
 from __future__ import annotations
@@ -149,10 +149,22 @@ def test_from_dict_rejects_non_integers_coerced_flags_and_missing_keys(
     if isinstance(leaf, bool):
         bad = data.draw(st.sampled_from((str(leaf).lower(), int(leaf))))
     else:
-        bad = leaf + 0.5
+        bad = data.draw(st.sampled_from((leaf + 0.5, True, False)))
     with pytest.raises(DomainError):
         cls.from_dict(_replaced(good, path, bad))
     missing = dict(good)
     del missing[data.draw(st.sampled_from(sorted(good)))]
     with pytest.raises(DomainError):
         cls.from_dict(missing)
+
+
+def test_json_true_is_not_read_as_an_integer():
+    e1 = {"d": 1, "p": 1, "terms": [{"indices": [1], "sign": 1}]}
+    assert SpecialForm.from_dict(e1).to_dict() == e1
+    for path in (("d",), ("p",), ("terms", 0, "indices", 0), ("terms", 0, "sign")):
+        with pytest.raises(DomainError):
+            SpecialForm.from_dict(_replaced(e1, path, True))
+    with pytest.raises(DomainError):
+        SpecialForm.from_dict(
+            {"d": True, "p": True, "terms": [{"indices": [True], "sign": True}]}
+        )
