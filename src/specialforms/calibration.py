@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, DomainError, PreconditionError, as_ints
+from .errors import DomainError, PreconditionError, as_ints, check_cap
 from .forms import SpecialForm
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
@@ -265,13 +265,16 @@ def comass(
     maximum, the lexicographically smallest rounded frame is reported.
     """
     import numpy as np
-    restarts, max_iter = as_ints((restarts, max_iter), "restarts and max_iter")
+    restarts, max_iter, seed = as_ints(
+        (restarts, max_iter, seed), "restarts, max_iter and seed"
+    )
     if restarts < 0:
         raise DomainError(f"restart count must be >= 0, got {restarts}")
-    if restarts > MAX_RESTARTS:
-        raise CapacityError(f"restart count {restarts} exceeds the cap {MAX_RESTARTS}")
+    check_cap(restarts, MAX_RESTARTS, "restart count")
     if max_iter < 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise DomainError(f"tolerance must be a real number, got {tol!r}")
     if not 0.0 < tol <= 1e-2:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import democratic as dem
 from .calibration import comass
 from .config import RunConfig, load_config
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import CapacityError, DomainError, PreconditionError, as_permutation
 from .forms import SearchStats, SpecialForm, canonicalize
 from .graphs import DistanceMatrix, graph_of_form, to_dot
 from .realization import forms_of, realize, solve
@@ -205,13 +205,13 @@ def _cmd_graph(args, cfg: RunConfig, record: dict) -> str:
 
 def _cmd_realize(args, cfg: RunConfig, record: dict) -> str:
     m = DistanceMatrix.from_dict(_read_json(args.matrix))
+    sigma = None if args.invariant_under is None else as_permutation(
+        _parse_ints(args.invariant_under, "--invariant-under"), m.r, "vertex images"
+    )
     solutions = solve(
         m, args.p, d_filter=args.d, vertex_cap=cfg.solver_r_cap, stats=record["search"]
     )
-    if args.invariant_under is not None:
-        sigma = _parse_ints(args.invariant_under, "--invariant-under")
-        if sorted(sigma) != list(range(1, m.r + 1)):
-            raise DomainError(f"not a vertex permutation of 1..{m.r}: {sigma}")
+    if sigma is not None:
         solutions = [f for f in solutions if f.is_invariant(sigma)]
     out = {"r": m.r, "p": args.p, "count": len(solutions), "solutions": []}
     for f in solutions:
@@ -277,7 +277,6 @@ def _cmd_democratic_classify(args, cfg: RunConfig, record: dict) -> str:
         args.p,
         max_distance=args.max_distance,
         alphabet=alphabet,
-        vertex_cap=cfg.autom_r_cap,
         stats=record["search"],
     )
     return _dump(catalog.to_dict())
@@ -319,15 +318,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.validate()
         text = args.handler(args, cfg, record)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DomainError, PreconditionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

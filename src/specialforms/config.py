@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from .calibration import DEFAULT_RESTARTS, DEFAULT_TOL
 from .errors import DomainError
 from .forms import DEFAULT_CANON_DIMENSION_CAP
-from .graphs import DEFAULT_AUTOMORPHISM_VERTEX_CAP
 from .realization import DEFAULT_SOLVER_VERTEX_CAP
 
 ENV_VAR = "SPECIALFORMS_CONFIG"
@@ -26,14 +25,13 @@ class RunConfig:
     seed: int = 0
     canon_d_cap: int = DEFAULT_CANON_DIMENSION_CAP
     solver_r_cap: int = DEFAULT_SOLVER_VERTEX_CAP
-    autom_r_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP
     comass_tol: float = DEFAULT_TOL
     comass_restarts: int = DEFAULT_RESTARTS
     output: str | None = None
     format: str = "json"
 
     def validate(self) -> None:
-        for name in ("canon_d_cap", "solver_r_cap", "autom_r_cap", "comass_restarts"):
+        for name in ("canon_d_cap", "solver_r_cap", "comass_restarts"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.comass_tol <= 1e-2:
@@ -58,7 +56,9 @@ def load_config(path: str | None = None, environ=None) -> RunConfig:
 
 
 def _apply_file(cfg: RunConfig, path: str) -> None:
-    types = {f.name: f.type for f in fields(RunConfig)}
+    # f.type is the annotation's text, "int" say, as annotations are postponed
+    convert = {f.name: {"int": int, "float": float}.get(f.type, str)
+               for f in fields(RunConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -69,14 +69,9 @@ def _apply_file(cfg: RunConfig, path: str) -> None:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in types:
+            if key not in convert:
                 raise DomainError(f"{path}:{lineno}: unknown setting {key!r}")
             try:
-                if key == "comass_tol":
-                    setattr(cfg, key, float(value))
-                elif key in ("output", "format"):
-                    setattr(cfg, key, value)
-                else:
-                    setattr(cfg, key, int(value))
+                setattr(cfg, key, convert[key](value))
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc

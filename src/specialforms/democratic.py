@@ -18,14 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .errors import CapacityError, DomainError, as_ints
+from .errors import DomainError, as_ints, check_cap
 from .forms import SearchStats
-from .graphs import (
-    DEFAULT_AUTOMORPHISM_VERTEX_CAP,
-    DistanceMatrix,
-    find_relabeling,
-    is_democratic,
-)
+from .graphs import DistanceMatrix, find_relabeling, is_democratic
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
@@ -43,11 +38,6 @@ MAX_BELL_M = 1500
 CANDIDATES_PER_VALUE_SET = {3: 1, 5: 12, 7: 13950}
 MAX_CANDIDATES = 200_000
 BLOCK_SIZE = 16
-
-
-def _check_cap(size: int, cap: int, what: str) -> None:
-    if size > cap:
-        raise CapacityError(f"{what} {size} exceeds the cap {cap}")
 
 
 def circulant_matrix(n: int, distances: Sequence[int]) -> DistanceMatrix:
@@ -72,7 +62,7 @@ def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
     (r,) = as_ints((r,), "vertex count")
     if r < 2 or r % 2 != 0:
         raise DomainError(f"vertex count must be even and >= 2, got {r}")
-    _check_cap(r, MAX_VERTICES, "vertex count")
+    check_cap(r, MAX_VERTICES, "vertex count")
     dist = _distances(distances, r - 1)
     # index (i + j) mod (r - 1) + 1 into [0, d_{r-1}, d_1, ..., d_{r-2}] on
     # the first r - 1 vertices; vertex r meets vertex i at index 2i
@@ -107,7 +97,7 @@ class Factorization:
             raise DomainError("factorization must have at least one factor")
         if factors[-1] < 2:
             raise DomainError(f"factors must be >= 2, got {factors}")
-        _check_cap(self.r, MAX_VERTICES, "vertex count")
+        check_cap(self.r, MAX_VERTICES, "vertex count")
 
     @property
     def r(self) -> int:
@@ -164,7 +154,7 @@ class DistanceAssignment:
     @staticmethod
     def orbit_representatives(factors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         factors = as_ints(factors, "factors")
-        _check_cap(math.prod(factors), MAX_VERTICES, "group order")
+        check_cap(math.prod(factors), MAX_VERTICES, "group order")
         return _difference_orbits(factors)[1]
 
     @classmethod
@@ -236,7 +226,7 @@ def bell(m: int) -> int:
     (m,) = as_ints((m,), "m")
     if m < 0:
         raise DomainError(f"bell numbers are defined for m >= 0, got {m}")
-    _check_cap(m, MAX_BELL_M, "bell index")
+    check_cap(m, MAX_BELL_M, "bell index")
     row = [1]
     for _ in range(m):
         row = list(itertools.accumulate(row, initial=row[-1]))
@@ -254,7 +244,7 @@ def _factorizations(r: int) -> tuple[int, Iterator[tuple[int, ...]]]:
     (r,) = as_ints((r,), "vertex count")
     if r < 2:
         raise DomainError(f"vertex count must be >= 2, got {r}")
-    _check_cap(r, MAX_FAMILY_VERTICES, "vertex count")
+    check_cap(r, MAX_FAMILY_VERTICES, "vertex count")
     low = [d for d in range(2, math.isqrt(r) + 1) if r % d == 0]
     divisors = sorted({*low, *(r // d for d in low), r})
 
@@ -283,7 +273,7 @@ def symmetry_families(r: int) -> tuple[tuple[int, ...], ...]:
     """Distinct factor multisets of r into parts >= 2, sorted, each
     non-increasing; CapacityError when more than MAX_FAMILIES."""
     count, families = _factorizations(r)
-    _check_cap(count, MAX_FAMILIES, "symmetry family count")
+    check_cap(count, MAX_FAMILIES, "symmetry family count")
     return tuple(families)
 
 
@@ -377,7 +367,6 @@ def classify_small(
     max_distance: Optional[int] = None,
     *,
     alphabet: Optional[Sequence[int]] = None,
-    vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     stats: Optional[SearchStats] = None,
 ) -> ClassificationCatalog:
     """Enumerate and classify the n_a = 2 candidates on r vertices.
@@ -400,10 +389,9 @@ def classify_small(
     """
     import numpy as np
     r, p = as_ints((r, p), "vertex count and degree")
-    if r not in CANDIDATES_PER_VALUE_SET:
-        if r > 2 and r % 2 and all(r % f for f in range(3, int(r**0.5) + 1, 2)):
-            raise CapacityError(f"classification on {r} vertices exceeds the cap 7")
+    if not (r > 2 and r % 2 and all(r % f for f in range(3, int(r**0.5) + 1, 2))):
         raise DomainError(f"classification needs an odd prime vertex count, got {r}")
+    check_cap(r, max(CANDIDATES_PER_VALUE_SET), "classification vertex count")
     if p < 1:
         raise DomainError(f"degree must be >= 1, got {p}")
     if alphabet is None:
@@ -420,8 +408,7 @@ def classify_small(
         raise DomainError(f"distances up to {alpha[-1]} cannot occur in degree p={p}")
     q = (r - 1) // 2
     expected = math.comb(len(alpha), q) * CANDIDATES_PER_VALUE_SET[r]
-    if expected > MAX_CANDIDATES:
-        raise CapacityError(f"{expected} candidates exceed the cap {MAX_CANDIDATES}")
+    check_cap(expected, MAX_CANDIDATES, "candidate count")
     stats = stats or SearchStats()
     stats.nodes += 1
 
@@ -455,7 +442,7 @@ def classify_small(
     entries: list[CatalogEntry] = []
     target_cache: dict[tuple[int, ...], list] = {}
     for cand in candidates:
-        if not is_democratic(cand, vertex_cap=vertex_cap):
+        if not is_democratic(cand):
             continue
         used = cand.distances()
         if used not in target_cache:

@@ -4,7 +4,9 @@ Three failure modes are distinguished so the command line tool can map them
 onto distinct exit codes: bad input values, violated call preconditions, and
 requests that exceed a configured size cap.  `as_ints` is the strict
 integer conversion that every parser uses, so no float is silently
-truncated and no bool is read as a number.
+truncated and no bool is read as a number; `as_permutation` builds on it.
+`check_cap` raises every CapacityError, so each refusal reads
+"<what> <size> exceeds the cap <cap>".
 """
 
 import operator
@@ -41,3 +43,17 @@ def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise DomainError(f"{what} must be integers: {exc}") from exc
+
+
+def as_permutation(values: Iterable, n: int, what: str) -> tuple[int, ...]:
+    """The values as ints forming a permutation of 1..n, else DomainError."""
+    perm = as_ints(values, what)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise DomainError(f"{what} {perm} are not a permutation of 1..{n}")
+    return perm
+
+
+def check_cap(size: int, cap: int, what: str) -> None:
+    """Raise CapacityError when `size` exceeds `cap`."""
+    if size > cap:
+        raise CapacityError(f"{what} {size} exceeds the cap {cap}")

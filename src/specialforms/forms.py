@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import CapacityError, DomainError, as_ints
+from .errors import DomainError, as_ints, as_permutation, check_cap
 
 # Above this dimension a full orbit minimisation is refused by default.
 DEFAULT_CANON_DIMENSION_CAP = 10
@@ -207,15 +207,13 @@ class SignedPermutation:
     eta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sigma = as_ints(self.sigma, "permutation images")
+        sigma = as_permutation(self.sigma, len(self.sigma), "permutation images")
         eta = as_ints(self.eta, "axis flips")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "eta", eta)
         d = len(sigma)
         if d < 1:
             raise DomainError("permutation on an empty index set")
-        if sorted(sigma) != list(range(1, d + 1)):
-            raise DomainError(f"not a permutation of 1..{d}: {sigma}")
         if len(eta) != d or any(e not in (1, -1) for e in eta):
             raise DomainError("eta must assign +1 or -1 to each of the d axes")
 
@@ -277,11 +275,11 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 #
 # Minimising the support over all relabelings is done by placing the terms
 # one at a time as the rows of the sorted support, depth first.  A placement
-# step picks a still-unplaced term, which realises one complete row; rows
-# must increase strictly, and a realised prefix that already exceeds the
-# incumbent's prefix is pruned.  The term's k unlabeled indices take the
-# next labels n+1, .., n+k (n labels are handed out), smallest first, each
-# to one of them, so the row is the term's fixed labels followed by those.
+# step picks a still-unplaced term, which realises one complete row, and a
+# realised prefix that already exceeds the incumbent's prefix is pruned.
+# The term's k unlabeled indices take the next labels n+1, .., n+k (n
+# labels are handed out), smallest first, each to one of them, so the row
+# is the term's fixed labels followed by those.
 # No other choice can be least: in a least relabeling the rows 0..t use
 # exactly the labels 1..u_t.  Were row t to use a fresh label L while a
 # smaller L' is unused by rows 0..t, swapping L and L' would keep rows
@@ -296,6 +294,13 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # the list followed by the first fresh labels, with no sort.  The incumbent
 # bound on row t is read once per node: a new incumbent can only come from
 # the node's own subtree, so it shares rows 0..t-1 with the node.
+#
+# Rows increase strictly with no test for it.  A term's candidate row never
+# falls as labels are handed out.  A term whose row lay below row t-1 when
+# row t-1 was chosen came first in that loop, and the incumbent bound its
+# subtree left stops the loop before row t-1 is placed.  A term whose row
+# equalled row t-1 has the same fixed labels and cannot take all of row
+# t-1's fresh labels without being that term, so its row grows.
 #
 # Automorphisms of the support prune the search (McKay & Piperno, "Practical
 # graph isomorphism, II", 2014).  Let l0 be the labeling that first reaches
@@ -346,14 +351,29 @@ class _Generator(NamedTuple):
     terms: tuple[int, ...]
 
 
-def _echelon_insert(basis: dict[int, int], v: int) -> None:
-    while v:
-        piv = v.bit_length() - 1
-        if piv in basis:
+def flip_basis(rows: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
+    """Echelon basis of the flip span of a row list, pivots descending.
+
+    A sign pattern sets bit w-1-t when row t has sign -1, and flipping
+    label j adds the pattern of the rows that contain j.  Each basis vector
+    is given with its pivot, its highest bit, and no two share a pivot, so
+    clearing the pivot bits in this order reduces a pattern to the one
+    element of its coset with no pivot bit set, the coset's least element.
+    """
+    w = len(rows)
+    incidence: dict[int, int] = {}
+    for t, row in enumerate(rows):
+        for lab in row:
+            incidence[lab] = incidence.get(lab, 0) | (1 << (w - 1 - t))
+    basis: dict[int, int] = {}
+    for v in incidence.values():
+        while v:
+            piv = v.bit_length() - 1
+            if piv not in basis:
+                basis[piv] = v
+                break
             v ^= basis[piv]
-        else:
-            basis[piv] = v
-            return
+    return sorted(basis.items(), reverse=True)
 
 
 def _orbit(start, images) -> Iterator:
@@ -382,14 +402,7 @@ def _least_signature(
     if not base:
         return 0  # the least coset there is
     w = len(rows)
-    basis: dict[int, int] = {}
-    incidence: dict[int, int] = {}
-    for t, row in enumerate(rows):
-        for lab in row:
-            incidence[lab] = incidence.get(lab, 0) | (1 << (w - 1 - t))
-    for v in incidence.values():
-        _echelon_insert(basis, v)
-    pivots = sorted(basis.items(), reverse=True)
+    pivots = flip_basis(rows)
 
     def reduce(v: int) -> int:
         for piv, vec in pivots:
@@ -441,17 +454,13 @@ def canonicalize(
     the branches cut because an automorphism maps them onto explored ones,
     and the leaves that tie the least rows.
     """
-    if form.d > dimension_cap:
-        raise CapacityError(
-            f"canonicalization in dimension {form.d} exceeds the cap {dimension_cap}"
-        )
+    check_cap(form.d, dimension_cap, "canonicalization dimension")
     w = form.weight
     if w == 0:
         return form
     st = SearchStats() if stats is None else stats
     p = form.p
     members = [s.indices for s, _ in form.terms]
-    term_of = {frozenset(t): k for k, t in enumerate(members)}
     signs = [g for _, g in form.terms]
 
     terms_of = {
@@ -556,7 +565,6 @@ def canonicalize(
         if t == w:
             finish()
             return
-        prev = rows[-1] if rows else None
         n = len(label_of)
         fresh = tuple(range(n + 1, n + 1 + p))
         cands = []
@@ -571,8 +579,6 @@ def canonicalize(
         maps: list = []
         seen = 0
         for tup, term, combo in cands:
-            if prev is not None and tup <= prev:
-                continue
             if best["rows"] is not incumbent:
                 incumbent = best["rows"]
                 bound = incumbent[t]
@@ -601,10 +607,9 @@ def canonicalize(
     best_rows, inverse = best["rows"], best["inverse"]
     labels = {x: lab for lab, x in inverse.items()}
     base = 0
-    for t, row in enumerate(best_rows):
-        term = [inverse[a] for a in row]
-        _, par = _sorted_with_parity(term)
-        if signs[term_of[frozenset(term)]] * par < 0:
+    for t, (row, term) in enumerate(zip(best_rows, best["order"])):
+        _, par = _sorted_with_parity([inverse[a] for a in row])
+        if signs[term] * par < 0:
             base |= 1 << (w - 1 - t)
     sig = _least_signature(
         best_rows,

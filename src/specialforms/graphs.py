@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapacityError, DomainError, PreconditionError, as_ints
+from .errors import DomainError, PreconditionError, as_ints, check_cap
 from .forms import SearchStats, SpecialForm
 
 # Automorphism searches are refused above this vertex count by default.
@@ -106,13 +106,6 @@ def is_admissible(m: DistanceMatrix) -> bool:
 
 def _row_profiles(e: _Rows) -> list[tuple[int, ...]]:
     return [tuple(sorted(row)) for row in e]
-
-
-def _check_cap(r: int, vertex_cap: int) -> None:
-    if r > vertex_cap:
-        raise CapacityError(
-            f"automorphism search on {r} vertices exceeds the cap {vertex_cap}"
-        )
 
 
 def _extend(
@@ -205,7 +198,7 @@ def symmetries(
     orbit member contributes one witness automorphism.  The witnesses form
     a generating set.
     """
-    _check_cap(m.r, vertex_cap)
+    check_cap(m.r, vertex_cap, "automorphism search vertex count")
     e = m.entries
     profiles = _row_profiles(e)
     orbits: list[int] = []
@@ -231,7 +224,7 @@ def is_democratic(
     stats: Optional[SearchStats] = None,
 ) -> bool:
     """Whether the automorphism group is vertex-transitive."""
-    _check_cap(m.r, vertex_cap)
+    check_cap(m.r, vertex_cap, "automorphism search vertex count")
     e = m.entries
     profiles = _row_profiles(e)
     return all(
@@ -333,7 +326,7 @@ def find_relabeling(
     the automorphism searches, above DEFAULT_AUTOMORPHISM_VERTEX_CAP vertices."""
     if src.r != dst.r:
         return None
-    _check_cap(src.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP)
+    check_cap(src.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP, "automorphism search vertex count")
     a, b = src.entries, dst.entries
     pa, pb = _row_profiles(a), _row_profiles(b)
     if sorted(pa) != sorted(pb):

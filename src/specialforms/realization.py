@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityError, DomainError, PreconditionError, as_ints
-from .forms import OrientedSubset, SearchStats, SpecialForm, _echelon_insert
+from .errors import DomainError, PreconditionError, as_ints, as_permutation, check_cap
+from .forms import OrientedSubset, SearchStats, SpecialForm, flip_basis
 from .graphs import DistanceMatrix, is_admissible
 
 # Exhaustive weight-function search is refused above this vertex count.
@@ -93,9 +93,7 @@ class GraphFunction:
 
         `sigma` gives 1-based images of the vertices 1..r.
         """
-        sigma = as_ints(sigma, "permutation images")
-        if sorted(sigma) != list(range(1, self.r + 1)):
-            raise DomainError(f"not a vertex permutation of 1..{self.r}: {sigma}")
+        sigma = as_permutation(sigma, self.r, "vertex images")
         values = dict(self.values)
         return all(
             values.get(tuple(sorted(sigma[v - 1] for v in subset)), 0) == val
@@ -206,12 +204,14 @@ def solve(
     Solutions are sorted by their values.  When `stats` is given, the
     search adds its node, leaf, prune and solution counts to it.
     """
+    (p,) = as_ints((p,), "degree")
     if p < 1:
         raise DomainError(f"degree must be >= 1, got {p}")
-    if m.r > vertex_cap:
-        raise CapacityError(
-            f"solving on {m.r} vertices exceeds the cap {vertex_cap}"
-        )
+    if d_filter is not None:
+        (d_filter,) = as_ints((d_filter,), "dimension filter")
+        if d_filter < 0:
+            raise DomainError("dimension filter must be non-negative")
+    check_cap(m.r, vertex_cap, "solver vertex count")
     if not is_admissible(m):
         raise PreconditionError("matrix is not admissible")
     worst = max(
@@ -220,8 +220,6 @@ def solve(
     )
     if worst > p:
         raise PreconditionError(f"matrix distance {worst} exceeds the degree {p}")
-    if d_filter is not None and d_filter < 0:
-        raise DomainError("dimension filter must be non-negative")
 
     r = m.r
     if r == 1:
@@ -331,6 +329,8 @@ class Realization:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
+        if len(self.subsets) != r:
+            raise DomainError(f"{len(self.subsets)} subsets for {r} vertices")
 
     def to_dict(self) -> dict:
         return {
@@ -459,43 +459,30 @@ def forms_of(
 
     Signs eps in {-1,+1}^r differ inessentially when related by flipping
     coordinate axes: axis i negates every vertex whose subset contains i.
-    Over GF(2) the reachable flip patterns form the column space of the
-    index incidence matrix, so the distinct classes are its cosets.  One
-    representative per coset is returned, in sign-lexicographic order with
-    respect to the term order; the first term always carries +1.
+    The classes are the cosets of the flip span of `forms.flip_basis`, the
+    space in which `canonicalize` minimises signs, taken over the subsets
+    in term order.  Each coset's least element is the one pattern in it
+    with no pivot bit set, and these are returned in ascending order,
+    which is sign-lexicographic order; the first term always carries +1.
+    More than 2**class_bit_cap classes are refused.
     """
     order = sorted(range(real.r), key=lambda v: real.subsets[v].indices)
     w = real.r
-    vectors = set()
-    for i in range(1, real.d + 1):
-        bits = 0
-        for pos, v in enumerate(order):
-            if i in real.subsets[v].indices:
-                bits |= 1 << (w - 1 - pos)
-        vectors.add(bits)
-    basis: dict[int, int] = {}
-    for vec in vectors:
-        _echelon_insert(basis, vec)
-    free_bits = [b for b in range(w - 1, -1, -1) if b not in basis]
-    if len(free_bits) > class_bit_cap:
-        raise CapacityError(
-            f"{2 ** len(free_bits)} sign classes exceed the cap 2**{class_bit_cap}"
-        )
+    free = (1 << w) - 1
+    for piv, _ in flip_basis([real.subsets[v].indices for v in order]):
+        free ^= 1 << piv
+    check_cap(free.bit_count(), class_bit_cap, "sign class bit count")
     forms = []
-    for assign in range(2 ** len(free_bits)):
-        eps = 0
-        for k, bit in enumerate(free_bits):
-            if (assign >> (len(free_bits) - 1 - k)) & 1:
-                eps |= 1 << bit
+    eps = 0
+    while True:  # every pattern within `free`, ascending
         terms = tuple(
-            (
-                real.subsets[v],
-                -1 if (eps >> (w - 1 - pos)) & 1 else 1,
-            )
+            (real.subsets[v], -1 if (eps >> (w - 1 - pos)) & 1 else 1)
             for pos, v in enumerate(order)
         )
         forms.append(SpecialForm(real.d, real.p, terms))
-    return forms
+        if eps == free:
+            return forms
+        eps = (eps - free) & free
 
 
 def lift_symmetry(f: GraphFunction, sigma: Sequence[int]) -> tuple[int, ...]:

@@ -158,6 +158,9 @@ def test_comass_validation():
         comass(f, tol=0.0)
     with pytest.raises(DomainError):
         comass(f, tol=0.5)
+    for seed in (-1, 1.5, True, "3", None):
+        with pytest.raises(DomainError, match="seed"):
+            comass(f, seed=seed)
 
 
 @pytest.mark.parametrize("tol", ["1e-3", True, None, 1e-3j, [1e-3]])

@@ -37,7 +37,6 @@ from specialforms.democratic import (
     count_symmetry_families,
 )
 from specialforms.forms import DEFAULT_CANON_DIMENSION_CAP
-from specialforms.graphs import DEFAULT_AUTOMORPHISM_VERTEX_CAP
 from specialforms.realization import DEFAULT_SOLVER_VERTEX_CAP
 
 
@@ -73,7 +72,7 @@ def test_canon_capacity(tmp_path, capsys):
     f = SpecialForm.from_terms(20, 2, [((1, 2), 1)])
     path = write_json(tmp_path / "big.json", f.to_dict())
     assert main(["canon", path]) == 3
-    assert "error:" in capsys.readouterr().err
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
@@ -123,9 +122,9 @@ def test_realize_invariance_filter(pentagon_file, capsys):
     assert main(["realize", pentagon_file, "--p", "2",
                  "--invariant-under", swap]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 0
-    assert main(["realize", pentagon_file, "--p", "2",
+    assert main(["--stats", "realize", pentagon_file, "--p", "2",
                  "--invariant-under", "1,1,2,3,4"]) == 2
-    capsys.readouterr()
+    assert _stats_line(capsys.readouterr().err.split("\n", 1)[1])["nodes"] == 0
 
 
 def test_realize_errors(tmp_path, pentagon_file, capsys):
@@ -135,7 +134,7 @@ def test_realize_errors(tmp_path, pentagon_file, capsys):
     )
     path = write_json(tmp_path / "big.json", big.to_dict())
     assert main(["realize", path, "--p", "2"]) == 3
-    capsys.readouterr()
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_democratic_matrix_circulant(capsys):
@@ -193,8 +192,6 @@ def test_democratic_classify(capsys):
     assert main(["democratic", "classify", "5", "--p", "2", "--alphabet", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out) == out
     assert main(["democratic", "classify", "9", "--p", "3", "--max-distance", "3"]) == 2
-    assert main(["democratic", "classify", "11", "--p", "5", "--max-distance", "5"]) == 3
-    assert main(["democratic", "classify", "7", "--p", "10", "--max-distance", "10"]) == 3
     capsys.readouterr()
 
 
@@ -215,6 +212,8 @@ FAMILIES_ABOVE_CAP = 1036800  # 20,741 symmetry families
         ["democratic", "enum", str(MAX_FAMILY_VERTICES + 1)],
         ["democratic", "enum", str(FAMILIES_ABOVE_CAP)],
         ["bell", str(MAX_BELL_M + 1)],
+        ["democratic", "classify", "11", "--p", "5", "--max-distance", "5"],
+        ["democratic", "classify", "7", "--p", "10", "--max-distance", "10"],
     ],
     ids=lambda argv: " ".join(argv)[:40],
 )
@@ -315,6 +314,16 @@ def test_non_integer_inputs_exit_2(tmp_path, capsys):
     boolean = write_json(tmp_path / "m2.json", {"r": 2, "entries": [[0, True], [True, 0]]})
     assert main(["realize", boolean, "--p", "2"]) == 2
     assert "integer" in capsys.readouterr().err
+    plane = write_json(
+        tmp_path / "f3.json", SpecialForm.from_terms(3, 2, [((1, 2), 1)]).to_dict()
+    )
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("seed = -3\n", encoding="utf-8")
+    for argv in (["--seed", "-1", "calibrate", plane],
+                 ["--config", str(seed_cfg), "calibrate", plane]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "seed" in err
 
 
 def test_config_file(tmp_path, capsys):
@@ -329,6 +338,13 @@ def test_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_setting = 1\n", encoding="utf-8")
     assert main(["--config", str(bad), "bell", "3"]) == 2
+    removed = tmp_path / "removed.cfg"
+    removed.write_text("autom_r_cap = 12\n", encoding="utf-8")
+    assert main(["--config", str(removed), "bell", "3"]) == 2
+    typed = tmp_path / "typed.cfg"
+    typed.write_text("comass_tol = 1e-3\nsolver_r_cap = 7\nformat = dot\n", encoding="utf-8")
+    cfg = load_config(str(typed), environ={})
+    assert (cfg.comass_tol, cfg.solver_r_cap, cfg.format) == (1e-3, 7, "dot")
     worse = tmp_path / "worse.cfg"
     worse.write_text("canon_d_cap = ten\n", encoding="utf-8")
     assert main(["--config", str(worse), "bell", "3"]) == 2
@@ -347,7 +363,6 @@ def test_run_config_defaults_are_the_library_defaults():
     cfg = RunConfig()
     assert cfg.canon_d_cap == DEFAULT_CANON_DIMENSION_CAP
     assert cfg.solver_r_cap == DEFAULT_SOLVER_VERTEX_CAP
-    assert cfg.autom_r_cap == DEFAULT_AUTOMORPHISM_VERTEX_CAP
     assert cfg.comass_tol == DEFAULT_TOL
     assert cfg.comass_restarts == DEFAULT_RESTARTS
 

@@ -112,6 +112,14 @@ def test_solve_validation():
         solve(m, 0)
     with pytest.raises(DomainError):
         solve(m, 2, d_filter=-1)
+    all_two = DistanceMatrix.from_rows(
+        [[0 if i == j else 2 for j in range(8)] for i in range(8)]
+    )
+    st = SearchStats()
+    for p, d_filter in ((3.0, None), ("3", None), (True, None), (3, 6.0), (3, True)):
+        with pytest.raises(DomainError):
+            solve(all_two, p, d_filter, stats=st)
+    assert st == SearchStats()  # refused before the search
     with pytest.raises(PreconditionError):
         solve(m, 1)  # a distance exceeds the degree
     bad = DistanceMatrix.from_rows([[0, 1, 1], [1, 0, 3], [1, 3, 0]])
@@ -298,6 +306,9 @@ def test_realize_pentagon_blocks():
     bad["blocks"][0]["indices"] = [1.5]
     with pytest.raises(DomainError):
         Realization.from_dict(bad)
+    short = {"r": 3, "p": 1, "d": 1, "subsets": [[1]], "blocks": []}
+    with pytest.raises(DomainError):
+        Realization.from_dict(short)
 
 
 def test_realization_reads_r_p_and_d_as_integers():
@@ -424,6 +435,15 @@ def test_forms_of_matches_orbit_enumeration():
                 for a, v in enumerate(order):
                     for b, u in enumerate(order):
                         assert got.entries[a][b] == m.entries[v][u]
+    # free sign bits 3 and 0, not the lowest ones: the orbit minima, ascending
+    rows = [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4)]
+    real = Realization(6, 2, 5, tuple(map(OrientedSubset, rows)), ())
+    got = [
+        sum(1 << (5 - t) for t, (_, g) in enumerate(form.terms) if g < 0)
+        for form in forms_of(real)
+    ]
+    assert got == sorted(min(o) for o in _sign_classes_by_enumeration(real))
+    assert got == [0b000000, 0b000001, 0b001000, 0b001001]
 
 
 def test_forms_of_class_cap():
