@@ -31,13 +31,10 @@ class RunConfig:
     format: str = "json"
 
     def validate(self) -> None:
-        for name in ("canon_d_cap", "solver_r_cap", "comass_restarts"):
+        # comass checks seed, comass_tol and comass_restarts, as it does the flags
+        for name in ("canon_d_cap", "solver_r_cap"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.comass_tol <= 1e-2:
-            raise DomainError(
-                f"comass_tol must lie in (0, 1e-2], got {self.comass_tol}"
-            )
         if self.format not in _FORMATS:
             raise DomainError(
                 f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}"

@@ -382,16 +382,21 @@ def classify_small(
     rows 0 over their own values as int8 ranks, keeping the children whose
     two rows hold the value at most once.  A vectorised triangle-profile
     filter runs per block; only its survivors become DistanceMatrix objects
-    and are tested for democracy and matched against the circulants on
-    their value set (theorem_verified: all matched).  `stats` gains the
-    prefixes entered, root included, as nodes, rejected value choices as
-    pruned, candidates as leaves and catalog entries as solutions.
+    and are matched against the circulants on their value set.  A match is
+    democratic, as the translations of Z_r are automorphisms of every
+    circulant, so only a candidate that matches none is tested for
+    democracy; one that passes refutes the theorem and is kept with no
+    witness (theorem_verified: none such).  `stats` gains the prefixes
+    entered, root included, as nodes, rejected value choices as pruned,
+    candidates as leaves and catalog entries as solutions.
     """
     import numpy as np
     r, p = as_ints((r, p), "vertex count and degree")
-    if not (r > 2 and r % 2 and all(r % f for f in range(3, int(r**0.5) + 1, 2))):
+    cap = max(CANDIDATES_PER_VALUE_SET)
+    # odd factors up to the cap settle primality up to it; the cap refuses the rest
+    if not (r > 2 and r % 2 and all(r % f for f in range(3, min(r, cap + 1), 2))):
         raise DomainError(f"classification needs an odd prime vertex count, got {r}")
-    check_cap(r, max(CANDIDATES_PER_VALUE_SET), "classification vertex count")
+    check_cap(r, cap, "classification vertex count")
     if p < 1:
         raise DomainError(f"degree must be >= 1, got {p}")
     if alphabet is None:
@@ -442,21 +447,18 @@ def classify_small(
     entries: list[CatalogEntry] = []
     target_cache: dict[tuple[int, ...], list] = {}
     for cand in candidates:
-        if not is_democratic(cand):
-            continue
         used = cand.distances()
         if used not in target_cache:
-            target_cache[used] = [
-                (perm, circulant_matrix(q, perm))
-                for perm in itertools.permutations(used)
-            ]
+            perms = itertools.permutations(used)
+            target_cache[used] = [(perm, circulant_matrix(q, perm)) for perm in perms]
         for perm, target in target_cache[used]:
             wit = find_relabeling(cand, target)
             if wit is not None:
                 entries.append(CatalogEntry(matrix=cand, distances=perm, witness=wit))
                 break
         else:
-            entries.append(CatalogEntry(matrix=cand, distances=None, witness=None))
+            if is_democratic(cand):
+                entries.append(CatalogEntry(matrix=cand, distances=None, witness=None))
     stats.solutions += len(entries)
 
     return ClassificationCatalog(

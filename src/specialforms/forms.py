@@ -624,14 +624,12 @@ def canonicalize(
     return SpecialForm(form.d, p, terms)
 
 
-def orbit_equivalent(
-    a: SpecialForm, b: SpecialForm, *, dimension_cap: int = DEFAULT_CANON_DIMENSION_CAP
-) -> bool:
-    """Whether two forms of equal (d, p) lie in the same orbit."""
+def orbit_equivalent(a: SpecialForm, b: SpecialForm) -> bool:
+    """Whether two forms of equal (d, p) lie in the same orbit.  Refused, like
+    `canonicalize`, above DEFAULT_CANON_DIMENSION_CAP dimensions."""
     if (a.d, a.p) != (b.d, b.p):
         raise DomainError("orbit equivalence requires equal dimension and degree")
     if a.weight != b.weight:
         return False
-    ca = canonicalize(a, dimension_cap=dimension_cap)
-    cb = canonicalize(b, dimension_cap=dimension_cap)
-    return ca == cb
+    cap = DEFAULT_CANON_DIMENSION_CAP
+    return canonicalize(a, dimension_cap=cap) == canonicalize(b, dimension_cap=cap)

@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import DomainError, PreconditionError, as_ints, check_cap
 from .forms import SearchStats, SpecialForm
 
-# Automorphism searches are refused above this vertex count by default.
+# symmetries, is_democratic and find_relabeling refuse more vertices than this.
 DEFAULT_AUTOMORPHISM_VERTEX_CAP = 12
 
 _Rows = tuple[tuple[int, ...], ...]
@@ -91,12 +91,10 @@ def graph_of_form(form: SpecialForm) -> DistanceMatrix:
 
 
 def is_admissible(m: DistanceMatrix) -> bool:
-    """Positive off-diagonal entries satisfying all triangle inequalities."""
+    """Whether every triangle inequality holds; DistanceMatrix entries are positive."""
     e = m.entries
     for i in range(m.r):
         for j in range(i + 1, m.r):
-            if e[i][j] < 1:
-                return False
             for k in range(j + 1, m.r):
                 a, b, c = e[i][j], e[i][k], e[j][k]
                 if a > b + c or b > a + c or c > a + b:
@@ -186,19 +184,16 @@ class SymmetryGroupReport:
 
 
 def symmetries(
-    m: DistanceMatrix,
-    *,
-    vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
-    stats: Optional[SearchStats] = None,
+    m: DistanceMatrix, *, stats: Optional[SearchStats] = None
 ) -> SymmetryGroupReport:
     """Order, transitivity, and generators of the automorphism group.
 
     Works down a stabilizer chain: the group order is the product over i of
     the orbit size of vertex i under the stabilizer of 1..i-1, and each
     orbit member contributes one witness automorphism.  The witnesses form
-    a generating set.
+    a generating set.  Refused above DEFAULT_AUTOMORPHISM_VERTEX_CAP vertices.
     """
-    check_cap(m.r, vertex_cap, "automorphism search vertex count")
+    check_cap(m.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP, "automorphism search vertex count")
     e = m.entries
     profiles = _row_profiles(e)
     orbits: list[int] = []
@@ -217,14 +212,10 @@ def symmetries(
     )
 
 
-def is_democratic(
-    m: DistanceMatrix,
-    *,
-    vertex_cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
-    stats: Optional[SearchStats] = None,
-) -> bool:
-    """Whether the automorphism group is vertex-transitive."""
-    check_cap(m.r, vertex_cap, "automorphism search vertex count")
+def is_democratic(m: DistanceMatrix, *, stats: Optional[SearchStats] = None) -> bool:
+    """Whether the automorphism group is vertex-transitive.  Refused, like
+    `symmetries`, above DEFAULT_AUTOMORPHISM_VERTEX_CAP vertices."""
+    check_cap(m.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP, "automorphism search vertex count")
     e = m.entries
     profiles = _row_profiles(e)
     return all(
@@ -246,7 +237,6 @@ def is_predemocratic(m: DistanceMatrix) -> tuple[bool, Optional[dict[int, int]]]
     if any(c != counts[0] for c in counts[1:]):
         return False, None
     common = dict(sorted(counts[0].items()))
-    assert sum(common.values()) == m.r - 1
     return True, common
 
 

@@ -413,11 +413,7 @@ def verify(real: Realization, m: DistanceMatrix) -> VerificationReport:
                 failures.append(
                     f"distance(v{i + 1}, v{j + 1}) = {got}, expected {want}"
                 )
-    union = set()
-    total = 0
-    for s in real.subsets:
-        union |= set(s.indices)
-        total += s.degree
+    union = set().union(*(s.indices for s in real.subsets))
     if union != set(range(1, real.d + 1)):
         failures.append(f"subsets cover {sorted(union)}, not 1..{real.d}")
     counts = Counter()
@@ -452,9 +448,7 @@ def equivalent(a: Realization, b: Realization) -> bool:
     return _index_signature(a) == _index_signature(b)
 
 
-def forms_of(
-    real: Realization, *, class_bit_cap: int = DEFAULT_SIGN_CLASS_BIT_CAP
-) -> list[SpecialForm]:
+def forms_of(real: Realization) -> list[SpecialForm]:
     """One form per genuinely different sign choice on the realisation.
 
     Signs eps in {-1,+1}^r differ inessentially when related by flipping
@@ -464,14 +458,14 @@ def forms_of(
     in term order.  Each coset's least element is the one pattern in it
     with no pivot bit set, and these are returned in ascending order,
     which is sign-lexicographic order; the first term always carries +1.
-    More than 2**class_bit_cap classes are refused.
+    More than 2**DEFAULT_SIGN_CLASS_BIT_CAP classes are refused.
     """
     order = sorted(range(real.r), key=lambda v: real.subsets[v].indices)
     w = real.r
     free = (1 << w) - 1
     for piv, _ in flip_basis([real.subsets[v].indices for v in order]):
         free ^= 1 << piv
-    check_cap(free.bit_count(), class_bit_cap, "sign class bit count")
+    check_cap(free.bit_count(), DEFAULT_SIGN_CLASS_BIT_CAP, "sign class bit count")
     forms = []
     eps = 0
     while True:  # every pattern within `free`, ascending

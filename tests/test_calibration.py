@@ -34,6 +34,8 @@ def test_frame_validation():
     with pytest.raises(DomainError):
         Frame(np.ones((3, 2)))  # p > d
     with pytest.raises(DomainError):
+        Frame(np.ones(3))
+    with pytest.raises(DomainError):
         Frame.coordinate(3, (1, 4))
     f = Frame.coordinate(4, (2, 3))
     assert f.p == 2 and f.d == 4
@@ -57,6 +59,7 @@ def test_evaluate_on_coordinate_planes():
         evaluate(f, Frame.coordinate(3, (1, 2)))
     with pytest.raises(DomainError):
         evaluate(f, Frame.coordinate(4, (1, 2, 3)))
+    assert evaluate(SpecialForm(4, 2, ()), Frame.coordinate(4, (1, 2))) == 0.0
 
 
 def _evaluate_by_minor_expansion(f, frame):

@@ -213,6 +213,9 @@ FAMILIES_ABOVE_CAP = 1036800  # 20,741 symmetry families
         ["democratic", "enum", str(FAMILIES_ABOVE_CAP)],
         ["bell", str(MAX_BELL_M + 1)],
         ["democratic", "classify", "11", "--p", "5", "--max-distance", "5"],
+        ["democratic", "classify", "1000000000000000009", "--p", "3",
+         "--max-distance", "3"],  # a prime
+        ["democratic", "classify", str(10**400 + 1), "--p", "3", "--max-distance", "3"],
         ["democratic", "classify", "7", "--p", "10", "--max-distance", "10"],
     ],
     ids=lambda argv: " ".join(argv)[:40],
@@ -326,7 +329,7 @@ def test_non_integer_inputs_exit_2(tmp_path, capsys):
         assert out == "" and "seed" in err
 
 
-def test_config_file(tmp_path, capsys):
+def test_config_file(tmp_path, capsys, form_file):
     f = SpecialForm.from_terms(12, 2, [((1, 2), 1)])
     path = write_json(tmp_path / "wide.json", f.to_dict())
     assert main(["canon", path]) == 3  # default cap is 10
@@ -349,7 +352,27 @@ def test_config_file(tmp_path, capsys):
     worse.write_text("canon_d_cap = ten\n", encoding="utf-8")
     assert main(["--config", str(worse), "bell", "3"]) == 2
     assert main(["--config", str(tmp_path / "absent.cfg"), "bell", "3"]) == 2
+    zero_cap = tmp_path / "zero_cap.cfg"
+    zero_cap.write_text("solver_r_cap = 0\n", encoding="utf-8")
+    assert main(["--config", str(zero_cap), "bell", "3"]) == 2
+    no_equals = tmp_path / "no_equals.cfg"
+    no_equals.write_text("seed 4\n", encoding="utf-8")
+    assert main(["--config", str(no_equals), "bell", "3"]) == 2
     capsys.readouterr()
+
+    # comass checks comass_restarts and comass_tol, as it does --restarts and --tol
+    no_restarts = tmp_path / "no_restarts.cfg"
+    no_restarts.write_text("comass_restarts = 0\n", encoding="utf-8")
+    assert load_config(str(no_restarts), environ={}).comass_restarts == 0
+    assert main(["--config", str(no_restarts), "calibrate", form_file]) == 0
+    assert json.loads(capsys.readouterr().out)["n_restarts"] == 0
+    loose = tmp_path / "loose.cfg"
+    loose.write_text("comass_tol = 0.5\n", encoding="utf-8")
+    assert main(["--config", str(loose), "bell", "3"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(loose), "calibrate", form_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tolerance must lie in (0, 1e-2], got 0.5" in err
 
 
 def test_config_rejects_csv_format(tmp_path, capsys, form_file):

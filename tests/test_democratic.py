@@ -20,6 +20,7 @@ from specialforms import (
     DomainError,
     Factorization,
     SearchStats,
+    SpecialFormsError,
     bell,
     circulant_matrix,
     classify_small,
@@ -229,6 +230,8 @@ def test_distance_assignment_validation():
         DistanceAssignment.from_sequence((5,), (1, 0))
     with pytest.raises(DomainError):
         Factorization((4, 1))
+    with pytest.raises(DomainError):
+        Factorization(())
     assert Factorization((2, 3, 2)).factors == (3, 2, 2)
     assert Factorization((12,)).r == 12
 
@@ -404,6 +407,12 @@ def test_classify_validation():
         classify_small(5, 2)  # no alphabet given
     with pytest.raises(DomainError):
         classify_small(5, 2, 3)  # distance 3 cannot occur in degree 2
+    with pytest.raises(DomainError):
+        classify_small(5, 2, 0)
+    with pytest.raises(DomainError):
+        classify_small(5, 2, alphabet=(0,))
+    with pytest.raises(SpecialFormsError):
+        classify_small(10**400 + 1, 3, 3)  # larger than any float
 
 
 def test_classify_rejects_a_non_integer_alphabet():
@@ -444,6 +453,23 @@ def test_classify_matches_brute_force(r, p, alphabet):
     cat = classify_small(r, p, alphabet=alphabet)
     assert cat.candidate_count == count
     assert [e.matrix for e in cat.entries] == democratic_matrices
+
+
+def test_classify_tests_democracy_only_where_no_circulant_matches(monkeypatch):
+    tested = []
+
+    def stub(m):  # a stand-in verdict, so that some candidates fail it
+        tested.append(m)
+        return m.entries[0][1] == 1
+
+    monkeypatch.setattr(democratic, "is_democratic", stub)
+    assert classify_small(5, 2, 2).theorem_verified and not tested
+    monkeypatch.setattr(democratic, "find_relabeling", lambda src, dst: None)
+    cat = classify_small(5, 2, 2)
+    assert len(tested) == 12
+    assert [e.matrix for e in cat.entries] == [m for m in tested if m.entries[0][1] == 1]
+    assert 0 < len(cat.entries) < 12
+    assert all(e.witness is None for e in cat.entries) and not cat.theorem_verified
 
 
 def test_classify_seven_vertices_output_is_pinned():

@@ -38,6 +38,8 @@ def test_oriented_subset_validation():
         OrientedSubset((0, 1))
     with pytest.raises(DomainError):
         OrientedSubset(())
+    with pytest.raises(DomainError):
+        OrientedSubset((1, 2)).distance_to(OrientedSubset((1, 2, 3)))
 
 
 def test_subset_distance():
@@ -64,6 +66,8 @@ def test_form_validation():
         form(3, 2, ((2, 4), 1))  # index out of range
     with pytest.raises(DomainError):
         SpecialForm(0, 1, ())
+    with pytest.raises(DomainError):
+        SpecialForm(3, 4, ())  # p > d
 
 
 def test_terms_are_stored_in_canonical_order():
@@ -341,6 +345,8 @@ def test_orbit_equivalent():
                             form(4, 2, ((1, 2), 1), ((3, 4), -1)))
     assert not orbit_equivalent(form(4, 2, ((1, 2), 1), ((3, 4), 1)),
                                 form(4, 2, ((1, 2), 1), ((1, 3), 1)))
+    assert not orbit_equivalent(form(4, 2, ((1, 2), 1)),
+                                form(4, 2, ((1, 2), 1), ((3, 4), 1)))
     with pytest.raises(DomainError):
         orbit_equivalent(form(4, 2, ((1, 2), 1)), form(5, 2, ((1, 2), 1)))
 
@@ -386,6 +392,8 @@ def test_component_rejects_non_integer_indices():
         component(f, (1.5, 2.9))
     with pytest.raises(DomainError):
         component(f, (1.0, 2))
+    with pytest.raises(DomainError):
+        component(f, (1, 2, 3))  # p = 2
     assert component(f, np.array([2, 1])) == -1
 
 
@@ -396,6 +404,14 @@ def test_signed_permutation_rejects_non_integers():
         SignedPermutation((2, 1), (1, -1.5))
     with pytest.raises(DomainError):
         SignedPermutation((2, 1), (1.0, -1))
+    with pytest.raises(DomainError):
+        SignedPermutation((), ())
+    with pytest.raises(DomainError):
+        SignedPermutation((2, 1), (1, 0))
+    with pytest.raises(DomainError):
+        SignedPermutation.identity(2).compose(SignedPermutation.identity(3))
+    with pytest.raises(DomainError):
+        apply(SignedPermutation.identity(3), form(4, 2, ((1, 2), 1)))
     g = SignedPermutation(np.array([2, 1]), (np.int64(1), np.int32(-1)))
     assert g == SignedPermutation((2, 1), (1, -1))
     assert all(type(v) is int for v in g.sigma + g.eta)

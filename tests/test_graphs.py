@@ -25,6 +25,7 @@ from specialforms import (
     symmetries,
     to_dot,
 )
+from specialforms import graphs
 from specialforms.graphs import _extend, _row_profiles
 
 
@@ -74,6 +75,10 @@ def test_matrix_validation():
         DistanceMatrix.from_rows([[0, 0], [0, 0]])  # zero off-diagonal
     with pytest.raises(DomainError):
         DistanceMatrix.from_rows([[1]])
+    with pytest.raises(DomainError):
+        DistanceMatrix(0, ())
+    with pytest.raises(DomainError):
+        DistanceMatrix(2, ((0, 1), (1,)))  # not square
     m = DistanceMatrix.from_rows([[0, 2], [2, 0]])
     assert m.distances() == (2,)
     assert DistanceMatrix.from_dict(m.to_dict()) == m
@@ -155,7 +160,7 @@ def test_democratic_agrees_with_transitivity():
         assert is_democratic(m) == symmetries(m).transitive
 
 
-def test_vertex_cap():
+def test_vertex_cap(monkeypatch):
     m = DistanceMatrix.from_rows(
         [[0 if i == j else 1 for j in range(13)] for i in range(13)]
     )
@@ -165,7 +170,8 @@ def test_vertex_cap():
         is_democratic(m)
     with pytest.raises(CapacityError):
         find_relabeling(m, m)
-    assert symmetries(m, vertex_cap=13).order == 6227020800  # 13!
+    monkeypatch.setattr(graphs, "DEFAULT_AUTOMORPHISM_VERTEX_CAP", 13)
+    assert symmetries(m).order == 6227020800  # 13!
 
 
 def test_searches_agree_with_brute_force_automorphisms():

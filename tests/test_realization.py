@@ -33,6 +33,7 @@ from specialforms import (
     solve,
     verify,
 )
+from specialforms import realization
 from specialforms.realization import _search_tables
 
 
@@ -56,6 +57,12 @@ def test_graph_function_validation():
         GraphFunction(3, 2, (((2, 1), 1),))
     with pytest.raises(DomainError):
         GraphFunction(3, 2, (((1, 2), 1), ((1, 2), 2)))
+    with pytest.raises(DomainError):
+        GraphFunction(0, 2, ())
+    with pytest.raises(DomainError):
+        GraphFunction(3, 0, ())
+    with pytest.raises(DomainError):
+        GraphFunction(3, 2, (((2, 4), 1),))  # vertex 4 of 3
     with pytest.raises(PreconditionError):
         GraphFunction(3, 2, (((1, 2), 1),)).check()  # vertex 3 uncovered
 
@@ -351,6 +358,15 @@ def test_verify_reports_failures():
     assert not rep.ok
     assert any("overlap" in x for x in rep.failures)
 
+    rep = verify(real, circulant_matrix(1, (1,)))
+    assert rep.failures == ("vertex count 5 != matrix size 3",)
+    oversized = Realization(
+        r=real.r, p=real.p + 1, d=real.d, subsets=real.subsets, blocks=real.blocks
+    )
+    rep = verify(oversized, m)
+    assert not rep.ok
+    assert any("does not have size 3" in x for x in rep.failures)
+
 
 def _relabel_indices(real: Realization, perm: dict[int, int]) -> Realization:
     return Realization(
@@ -375,6 +391,7 @@ def test_equivalent():
     # two distinct labeled solutions of the all-2 matrix share no index fibers
     a, b = solve(fano_matrix(), 3)[:2]
     assert not equivalent(realize(a), realize(b))
+    assert not equivalent(real, realize(a))  # unequal (r, p, d)
 
 
 def _sign_classes_by_enumeration(real: Realization):
@@ -446,11 +463,12 @@ def test_forms_of_matches_orbit_enumeration():
     assert got == [0b000000, 0b000001, 0b001000, 0b001001]
 
 
-def test_forms_of_class_cap():
+def test_forms_of_class_cap(monkeypatch):
     real = realize(solve(circulant_matrix(2, (1, 2)), 2)[0])
     assert len(forms_of(real)) == 2
+    monkeypatch.setattr(realization, "DEFAULT_SIGN_CLASS_BIT_CAP", 0)
     with pytest.raises(CapacityError):
-        forms_of(real, class_bit_cap=0)
+        forms_of(real)
 
 
 def test_lift_symmetry_pentagon_rotation():
