@@ -5,19 +5,19 @@ p x p minors.  `comass` maximises that pairing over the Stiefel manifold by
 Riemannian gradient ascent, from one start per support plane and then
 `restarts` random frames drawn from `numpy.random.default_rng(seed)`.
 Each start keeps its own step: a trial begins at min(2 * last step, 1) and
-halves until the QR-retracted point passes the Armijo test
+halves until the retracted point passes the Armijo test
 f(R(x + a xi)) >= f(x) + ARMIJO * a * |xi|^2 (Absil, Mahony and Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008, section 4.2) and
 raises the value strictly, since near a maximum the Armijo margin falls
-below rounding.  A start stops, flagged converged, once |xi| < GRAD_TOL; it
-also stops when no step down to MIN_STEP passes, or after `max_iter` steps.
-The starts run as one (n, d, p) array in blocks sized so that the largest
-intermediate, the (p-1) x (p-1) cofactor minors of every term, holds at
-most BLOCK_FLOATS floats; all arithmetic stays within a start, so its
-result does not depend on its block.  More than MAX_RESTARTS restarts are
-refused before any work.  The reported frame is the lexicographically
-smallest, entries rounded to 9 decimals and compared as numbers, among the
-starts within TIE_TOL of the maximum.
+below rounding; R is their QR retraction (section 4.1.1), by Gram-Schmidt.
+A start stops, flagged converged, once |xi| < GRAD_TOL; it also stops when
+no step down to MIN_STEP passes, or after `max_iter` steps.  The minors
+are Plücker coordinates, taken level by level by Laplace expansion over a
+plan of row subsets built once per call; the gradient is its adjoint.  The
+starts run in blocks whose plan working set, 4 floats per subset row of
+every level, holds at most BLOCK_FLOATS floats.  Every sum adds in an order
+fixed by the plan, so a start's result does not depend on its block.  More
+than MAX_RESTARTS restarts are refused before any work.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ DEFAULT_MAX_ITER = 500
 ARMIJO = 0.5
 GRAD_TOL = 1e-7
 MIN_STEP = 1e-10
-# 64 starts of the full 5-form on 10 indices: 64 * 252 terms * 5^2 * 4^2.
+# 630 starts of the full 5-form on 10 indices, whose plan has 2,560 subset
+# rows: 630 * 4 * 2,560.
 BLOCK_FLOATS = 6_451_200
 MAX_RESTARTS = 100_000
 TIE_TOL = 1e-12
@@ -83,31 +84,65 @@ class Frame:
         idx = as_ints(indices, "axes")
         if any(not 1 <= i <= d for i in idx):
             raise DomainError(f"axes {idx} outside [1, {d}]")
-        rows = np.zeros((len(idx), d))
-        for a, i in enumerate(idx):
-            rows[a, i - 1] = 1.0
-        return cls(rows)
+        return cls(np.eye(d)[[i - 1 for i in idx]])
 
 
-def _terms(form: SpecialForm) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based (w, p) index array and (w,) sign vector of the terms."""
+def _terms(form: SpecialForm) -> tuple[tuple, np.ndarray]:
+    """The Laplace plan of the form's terms, and their (w,) sign vector.
+
+    Level k = 1..p holds (m, k) zero-based sorted row subsets, the terms at
+    level p and each subset of level k less one row at level k-1 (level 0
+    is the empty set); the positions at level k-1 of each subset less its
+    j-th row; and the Laplace signs (-1)^(j+k-1)."""
     import numpy as np
-    idx = np.array([s.indices for s, _ in form.terms], dtype=int) - 1
-    signs = np.array([g for _, g in form.terms], dtype=float)
-    return idx, signs
+    subsets = [tuple(i - 1 for i in s.indices) for s, _ in form.terms]
+    levels = []
+    for k in range(form.p, 0, -1):
+        below: dict = {}
+        children = [[below.setdefault(s[:j] + s[j + 1:], len(below))
+                     for j in range(k)] for s in subsets]
+        sgn = (-1.0) ** (np.arange(k) + k - 1)
+        levels.append((np.array(subsets), np.array(children), sgn[:, None, None]))
+        subsets = list(below)
+    return tuple(levels[::-1]), np.array([g for _, g in form.terms], dtype=float)
 
 
-def _values(x: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The form's value on each frame of an (n, d, p) stack.
+def _sum0(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis by halving, in an order fixed by its length;
+    `np.sum`'s order depends on the whole stack, so on a start's block."""
+    while len(a) > 1:
+        h, odd = divmod(len(a), 2)
+        b = a[:h] + a[h:2 * h]
+        if odd:
+            b[0] += a[-1]
+        a = b
+    return a[0]
 
-    The terms are added one at a time in order.  `sum(axis=-1)` would not
-    do: it adds pairwise on a lone frame and in order on a stack."""
+
+def _scatter(values: np.ndarray, targets: np.ndarray, size: int) -> np.ndarray:
+    """(size, n) sums of the (..., n) values at their targets, in order."""
     import numpy as np
-    minors = np.linalg.det(x[:, idx, :]) * signs
-    total = minors[:, 0].copy()
-    for column in minors.T[1:]:
-        total += column
-    return total
+    n = values.shape[-1]
+    index = targets[..., None] * n + np.arange(n)
+    return np.bincount(index.ravel(), values.ravel(), size * n).reshape(size, n)
+
+
+def _plucker(t: np.ndarray, levels: tuple) -> tuple[np.ndarray, list]:
+    """Plücker coordinates det x[S, :p] of the terms for a (p, d, n) stack
+    t = x.T of frames, and every level's Laplace factors: level k expands
+    along column k-1, P_k[S] = sum_j x[S_j, k-1] (-1)^(j+k-1) P_{k-1}[S - S_j]."""
+    import numpy as np
+    plucker, factors = np.ones((1, t.shape[2])), []  # P_0 of the empty set is 1
+    for (rows, children, sgn), column in zip(levels, t):
+        xs, ps = column[rows.T], plucker[children.T] * sgn
+        plucker = _sum0(xs * ps)
+        factors.append((xs, ps))
+    return plucker, factors
+
+
+def _values(x: np.ndarray, levels: tuple, signs: np.ndarray) -> np.ndarray:
+    """The form's value on each frame of an (n, d, p) stack."""
+    return _sum0(signs[:, None] * _plucker(x.T, levels)[0])
 
 
 def evaluate(form: SpecialForm, frame: Frame) -> float:
@@ -121,45 +156,51 @@ def evaluate(form: SpecialForm, frame: Frame) -> float:
     return float(_values(frame.vectors.T[None], *_terms(form))[0])
 
 
-def _gradient(x: np.ndarray, idx: np.ndarray, incidence: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the form at each frame of an (n, d, p) stack.
-
-    The gradient of a minor is its cofactor matrix; `incidence[t, b, i]` is
-    the sign of term t where its b-th index is axis i, and zero elsewhere."""
+def _gradient(t: np.ndarray, levels: tuple, signs: np.ndarray) -> np.ndarray:
+    """Euclidean gradient at a (p, d, n) stack t = x.T of frames, in that
+    layout, by the adjoint of `_plucker`: from dF/dP_p = signs down, level k
+    scatters dF/dP_k times each cofactor factor onto column k-1, and times
+    each signed entry of x onto dF/dP_{k-1}."""
     import numpy as np
-    p = x.shape[2]
-    others = np.array([np.delete(np.arange(p), i) for i in range(p)])
-    mats = x[:, idx, :]
-    minors = mats[:, :, others[:, None, :, None], others[None, :, None, :]]
-    cof = np.linalg.det(minors) * (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
-    return np.einsum("ntba,tbi->nia", cof, incidence)
+    p, d, _ = t.shape
+    factors, grad, bar = _plucker(t, levels)[1], np.empty_like(t), signs[:, None]
+    for k in range(p, 0, -1):
+        (rows, children, sgn), (xs, ps) = levels[k - 1], factors[k - 1]
+        grad[k - 1] = _scatter(bar * ps, rows.T, d)
+        if k > 1:
+            bar = _scatter(bar * xs * sgn, children.T, len(levels[k - 2][0]))
+    return grad
 
 
-def _retract(a: np.ndarray) -> np.ndarray:
+def _retract(t: np.ndarray) -> np.ndarray:
+    """The Q factors, R's diagonal positive, of a (p, d, n) stack t = a.T,
+    in the same layout: Gram-Schmidt with a second pass, which restores
+    orthogonality that one pass loses on ill-conditioned columns."""
     import numpy as np
-    q, r = np.linalg.qr(a)
-    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    s[s == 0] = 1.0
-    return q * s[..., None, :]
+    q = t.copy()
+    for c in range(len(q)):
+        v = q[c]
+        for _ in range(2 if c else 0):
+            coef = _sum0(np.swapaxes(q[:c], 0, 1) * v[:, None])
+            v = v - _sum0(coef[:, None] * q[:c])
+        q[c] = v / np.sqrt(_sum0(v * v))
+    return q
 
 
-def _ascend(x, idx, signs, incidence, max_iter):
-    """Armijo gradient ascent of every start in an (n, d, p) block.
-
-    Returns the final frames, values, step counts and converged flags."""
+def _ascend(t, levels, signs, max_iter):
+    """Armijo gradient ascent, in place, of every start in a (p, d, n)
+    block t = x.T; returns the frames, values, step counts and flags."""
     import numpy as np
-    x = x.copy()
-    val = _values(x, idx, signs)
-    step = np.ones(len(x))
-    iterations = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
+    val, n = _values(t.T, levels, signs), t.shape[2]
+    step, iterations, converged = np.ones(n), np.zeros(n, int), np.zeros(n, bool)
     active = np.flatnonzero(iterations < max_iter)
     while active.size:
-        xa = x[active]
-        g = _gradient(xa, idx, incidence)
-        xtg = np.swapaxes(xa, 1, 2) @ g
-        xi = g - xa @ ((xtg + np.swapaxes(xtg, 1, 2)) / 2.0)
-        sq = (xi * xi).sum(axis=(1, 2))
+        ta = t[..., active]
+        g = _gradient(ta, levels, signs)
+        xtg = _sum0(np.swapaxes(ta, 0, 1)[:, :, None] * np.swapaxes(g, 0, 1)[:, None])
+        sym = (xtg + np.swapaxes(xtg, 0, 1)) / 2.0
+        xi = g - _sum0(ta[:, None] * sym[:, :, None])
+        sq = _sum0((xi * xi).reshape(-1, active.size))
         done = sq < GRAD_TOL**2
         converged[active[done]] = True
         trial = np.minimum(2.0 * step[active], 1.0)
@@ -167,12 +208,12 @@ def _ascend(x, idx, signs, incidence, max_iter):
         pending = np.flatnonzero(~done)
         while pending.size:
             a = trial[pending]
-            y = _retract(xa[pending] + a[:, None, None] * xi[pending])
-            fy = _values(y, idx, signs)
+            y = _retract(ta[..., pending] + a * xi[..., pending])
+            fy = _values(y.T, levels, signs)
             v = val[active[pending]]
             ok = (fy > v) & (fy >= v + ARMIJO * a * sq[pending])
             k = active[pending[ok]]
-            x[k], val[k], step[k] = y[ok], fy[ok], a[ok]
+            t[..., k], val[k], step[k] = y[..., ok], fy[ok], a[ok]
             iterations[k] += 1
             moved[pending[ok]] = True
             pending = pending[~ok]
@@ -180,7 +221,7 @@ def _ascend(x, idx, signs, incidence, max_iter):
             pending = pending[trial[pending] >= MIN_STEP]
         active = active[moved]
         active = active[iterations[active] < max_iter]
-    return x, val, iterations, converged
+    return t, val, iterations, converged
 
 
 def _lex_smallest(frames: np.ndarray) -> int:
@@ -262,8 +303,7 @@ def comass(
     """Best evaluation over orthonormal frames found by gradient ascent.
 
     Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
-    maximum, the lexicographically smallest rounded frame is reported.
-    """
+    maximum, the lexicographically smallest rounded frame is reported."""
     import numpy as np
     restarts, max_iter, seed = as_ints(
         (restarts, max_iter, seed), "restarts, max_iter and seed"
@@ -281,48 +321,30 @@ def comass(
         raise DomainError(f"tolerance must lie in (0, 1e-2], got {tol}")
     d, p, w = form.d, form.p, form.weight
     if w == 0:
-        return ComassReport(
-            max_value=0.0,
-            calibrated=False,
-            achieved_on_coordinate_plane=False,
-            n_restarts=restarts,
-            restart_values=(),
-            iterations=(),
-            converged=(),
-            frame=Frame.coordinate(d, range(1, p + 1)),
-        )
-    idx, signs = _terms(form)
-    incidence = signs[:, None, None] * (idx[:, :, None] == np.arange(d))
-    support = np.zeros((w, d, p))
-    support[np.arange(w)[:, None], idx, np.arange(p)] = 1.0
-    support[:, :, 0] *= signs[:, None]
+        frame = Frame.coordinate(d, range(1, p + 1))
+        return ComassReport(0.0, False, False, restarts, (), (), (), frame)
+    levels, signs = _terms(form)
+    support = np.eye(d)[levels[-1][0].T].swapaxes(1, 2)  # (p, d, w), frames last
+    support[0] *= signs
     rng = np.random.default_rng(seed)
-
-    values, iterations, converged = [], [], []
-    near_v, near_x = np.empty(0), np.empty((0, d, p))
-    block = max(1, BLOCK_FLOATS // (w * p * p * max(p - 1, 1) ** 2))
+    runs, near_v, near_x = [], np.empty(0), np.empty((0, d, p))
+    block = max(1, BLOCK_FLOATS // (4 * sum(rows.size for rows, _, _ in levels)))
     for lo in range(0, w + restarts, block):
         hi = min(lo + block, w + restarts)
         fresh = rng.standard_normal((max(0, hi - max(lo, w)), d, p))
-        x0 = np.concatenate([support[lo:hi], _retract(fresh)])
-        x, val, its, conv = _ascend(x0, idx, signs, incidence, max_iter)
-        values.extend(val.tolist())
-        iterations.extend(its.tolist())
-        converged.extend(conv.tolist())
+        t = np.concatenate([support[..., lo:hi], _retract(fresh.T)], axis=2)
+        t, val, its, conv = _ascend(t, levels, signs, max_iter)
+        runs.append((val, its, conv))
         near_v = np.concatenate([near_v, val])
-        near_x = np.concatenate([near_x, x])
+        near_x = np.concatenate([near_x, t.T])
         keep = near_v >= near_v.max() - TIE_TOL
         near_v, near_x = near_v[keep], near_x[keep]
+    values, iterations, converged = (tuple(np.concatenate(z).tolist()) for z in zip(*runs))
     best = float(near_v.max())
-    coord_best = 1.0  # each support plane evaluates to exactly +-1
-    winner = _lex_smallest(np.swapaxes(near_x, 1, 2))
     return ComassReport(
-        max_value=best,
-        calibrated=abs(best - 1.0) <= tol,
-        achieved_on_coordinate_plane=best <= coord_best + tol,
-        n_restarts=restarts,
-        restart_values=tuple(values),
-        iterations=tuple(iterations),
-        converged=tuple(converged),
-        frame=Frame(near_x[winner].T),
+        max_value=best, calibrated=abs(best - 1.0) <= tol,
+        # each support plane evaluates to exactly +-1
+        achieved_on_coordinate_plane=best <= 1.0 + tol, n_restarts=restarts,
+        restart_values=values, iterations=iterations, converged=converged,
+        frame=Frame(near_x[_lex_smallest(np.swapaxes(near_x, 1, 2))].T),
     )

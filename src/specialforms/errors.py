@@ -6,7 +6,8 @@ requests that exceed a configured size cap.  `as_ints` is the strict
 integer conversion that every parser uses, so no float is silently
 truncated and no bool is read as a number; `as_permutation` builds on it.
 `check_cap` raises every CapacityError, so each refusal reads
-"<what> <size> exceeds the cap <cap>".
+"<what> <size> exceeds the cap <cap>", or "<what> of <n> digits exceeds
+the cap <cap>" for a size of more than 30 digits.
 """
 
 import operator
@@ -54,6 +55,14 @@ def as_permutation(values: Iterable, n: int, what: str) -> tuple[int, ...]:
 
 
 def check_cap(size: int, cap: int, what: str) -> None:
-    """Raise CapacityError when `size` exceeds `cap`."""
+    """Raise CapacityError when `size` exceeds `cap`.
+
+    A size of more than 30 digits is given by its digit count: Python
+    refuses to convert an int of more than 4,300 digits to a string."""
     if size > cap:
-        raise CapacityError(f"{what} {size} exceeds the cap {cap}")
+        if size < 10**30:
+            raise CapacityError(f"{what} {size} exceeds the cap {cap}")
+        exponent = (size.bit_length() - 1) * 30102 // 100000  # <= floor(log10(size))
+        while size >= 10 ** (exponent + 1):
+            exponent += 1
+        raise CapacityError(f"{what} of {exponent + 1} digits exceeds the cap {cap}")

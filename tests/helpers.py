@@ -7,7 +7,10 @@ search machinery, so tests compare two genuinely different computations.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+
+import numpy as np
 
 from specialforms import (
     DistanceMatrix,
@@ -92,6 +95,29 @@ def random_form(rng, d_max=5, w_max=4) -> SpecialForm:
     rng.shuffle(subs)
     w = rng.randint(1, min(w_max, len(subs)))
     return SpecialForm.from_terms(d, p, [(s, rng.choice((1, -1))) for s in subs[:w]])
+
+
+# ---------------------------------------------------------------------------
+# Exact comass (oracle for calibration.comass).
+#
+# A 1-form, an (n-1)-form and an n-form on R^n are simple, so their comass
+# is their Euclidean norm, sqrt(w) for w terms of +-1.  The comass of a
+# 2-form is the largest singular value of its antisymmetric coefficient
+# matrix (Federer, Geometric Measure Theory, 1969, section 1.8).
+# ---------------------------------------------------------------------------
+
+
+def exact_comass(form: SpecialForm) -> float | None:
+    """The comass of a form of degree 1, 2, d - 1 or d; None otherwise."""
+    if form.p in (1, form.d - 1, form.d):
+        return math.sqrt(form.weight)
+    if form.p != 2:
+        return None
+    a = np.zeros((form.d, form.d))
+    for s, g in form.terms:
+        i, j = (v - 1 for v in s.indices)
+        a[i, j], a[j, i] = g, -g
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------

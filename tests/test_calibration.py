@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cayley_form, random_form
+from helpers import cayley_form, exact_comass, random_form
 from specialforms import (
     CapacityError,
     ComassReport,
@@ -62,23 +62,26 @@ def test_evaluate_on_coordinate_planes():
     assert evaluate(SpecialForm(4, 2, ()), Frame.coordinate(4, (1, 2))) == 0.0
 
 
-def _evaluate_by_minor_expansion(f, frame):
-    total = 0.0
+def _leibniz(f, x):
+    """Value and Euclidean gradient of the form at the (d, p) frame x, by
+    the permutation expansion of every minor, differentiated term by term."""
+    value, grad = 0.0, np.zeros(x.shape)
     for s, g in f.terms:
-        minor = 0.0
         for perm in itertools.permutations(range(f.p)):
-            sign = 1
-            seen = list(perm)
-            for i in range(len(seen)):  # parity by counting inversions
-                for j in range(i + 1, len(seen)):
-                    if seen[i] > seen[j]:
+            sign = g
+            for i in range(len(perm)):  # parity by counting inversions
+                for j in range(i + 1, len(perm)):
+                    if perm[i] > perm[j]:
                         sign = -sign
-            prod = 1.0
+            factors = [x[s.indices[b] - 1, a] for a, b in enumerate(perm)]
+            value += sign * math.prod(factors)
             for a, b in enumerate(perm):
-                prod *= frame.vectors[a, s.indices[b] - 1]
-            minor += sign * prod
-        total += g * minor
-    return total
+                grad[s.indices[b] - 1, a] += sign * math.prod(factors[:a] + factors[a + 1:])
+    return value, grad
+
+
+def _evaluate_by_minor_expansion(f, frame):
+    return _leibniz(f, frame.vectors.T)[0]
 
 
 def _random_frame(rng, d, p):
@@ -280,8 +283,9 @@ def test_random_restarts_converge_on_e12_plus_e34():
 def test_restarts_do_not_depend_on_their_batch(monkeypatch):
     f = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), -1))
     k = 10
-    block = 16  # starts per block: 3 terms * 2^2 * 1^2 floats each
-    monkeypatch.setattr(calibration, "BLOCK_FLOATS", 12 * block)
+    block = 16  # starts per block: 4 * (3 * 2 + 4) floats each, the plan
+    # holding three 2-subsets and four rows
+    monkeypatch.setattr(calibration, "BLOCK_FLOATS", 40 * block)
     short = comass(f, restarts=k, seed=8)
     long = comass(f, restarts=block + k, seed=8)  # two blocks
     n = f.weight + k
@@ -311,21 +315,77 @@ def test_comass_edge_shapes():
 
 
 def test_values_do_not_depend_on_the_block(monkeypatch):
-    # Eight or more terms: numpy's sum(axis=-1) adds pairwise on a lone
-    # frame and in order on a stack, which used to change the last bit of a
-    # start's value with the starts that shared its block.
+    # Eight or more terms, and up to 10 rows: numpy's sum(axis=-1) adds
+    # pairwise on a lone frame and in order on a stack, which used to change
+    # the last bit of a start's value with the starts that shared its block.
     rng = random.Random(5)
-    subsets = list(itertools.combinations(range(1, 7), 2))
-    f = form(6, 2, *((s, rng.choice((1, -1))) for s in rng.sample(subsets, 9)))
-    whole = comass(f, restarts=60, seed=4).to_dict()
-    for block in (1, 7, 64):
-        monkeypatch.setattr(calibration, "BLOCK_FLOATS", 9 * 4 * block)
-        assert comass(f, restarts=60, seed=4).to_dict() == whole
-    x = np.stack([rep.vectors.T for rep in (comass(f, restarts=3, seed=s).frame
-                                           for s in range(4))])
-    stacked = calibration._values(x, *calibration._terms(f))
-    for frame, value in zip(x, stacked):
-        assert evaluate(f, Frame(frame.T)) == value
+    for d, p, w, restarts in ((6, 2, 9, 60), (9, 3, 10, 20), (10, 4, 12, 10)):
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        f = form(d, p, *((s, rng.choice((1, -1))) for s in rng.sample(subsets, w)))
+        whole = comass(f, restarts=restarts, seed=4).to_dict()
+        start = 4 * sum(rows.size for rows, _, _ in calibration._terms(f)[0])
+        for block in (1, 7, 64):
+            monkeypatch.setattr(calibration, "BLOCK_FLOATS", start * block)
+            assert comass(f, restarts=restarts, seed=4).to_dict() == whole
+        monkeypatch.undo()
+        x = np.stack([rep.vectors.T for rep in (comass(f, restarts=3, seed=s).frame
+                                               for s in range(4))])
+        stacked = calibration._values(x, *calibration._terms(f))
+        for frame, value in zip(x, stacked):
+            assert evaluate(f, Frame(frame.T)) == value
+
+
+def _orthonormality_error(x):
+    """Largest entry of |x^T x - I| over an (n, d, p) stack of frames."""
+    return float(np.max(np.abs(np.swapaxes(x, 1, 2) @ x - np.eye(x.shape[2]))))
+
+
+def test_comass_matches_the_exact_oracle():
+    rng = random.Random(83)
+    for d in range(2, 11):
+        for p in sorted({1, 2, d - 1, d}):
+            subsets = list(itertools.combinations(range(1, d + 1), p))
+            chosen = rng.sample(subsets, rng.randint(1, len(subsets)))
+            f = form(d, p, *((s, rng.choice((1, -1))) for s in chosen))
+            rep = comass(f, restarts=10, seed=d)
+            assert abs(rep.max_value - exact_comass(f)) <= 1e-9, (d, p)
+            assert _orthonormality_error(rep.frame.vectors.T[None]) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_kernel_matches_the_leibniz_expansion(p):
+    rng = random.Random(89 + p)
+    for d in sorted({p, 9, 10}):
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        chosen = rng.sample(subsets, min(len(subsets), rng.randint(1, 8)))
+        f = form(d, p, *((s, rng.choice((1, -1))) for s in chosen))
+        x = np.stack([_random_frame(rng, d, p).vectors.T for _ in range(3)])
+        plan = calibration._terms(f)
+        values = calibration._values(x, *plan)
+        grads = calibration._gradient(x.T, *plan).T
+        for frame, value, grad in zip(x, values, grads):
+            exact_value, exact_grad = _leibniz(f, frame)
+            assert abs(value - exact_value) <= 1e-12
+            assert np.max(np.abs(grad - exact_grad)) <= 1e-12
+        rep = comass(f, restarts=4, seed=p)
+        assert _orthonormality_error(rep.frame.vectors.T[None]) <= 1e-12
+
+
+@pytest.mark.parametrize("d, p", [(3, 3), (7, 3), (9, 5), (10, 10)])
+def test_retraction_is_qr_with_a_positive_diagonal_on_ill_conditioned_starts(d, p):
+    # Gaussian starts with condition numbers 1e4 to 1e10, where one
+    # Gram-Schmidt pass leaves columns far from orthogonal
+    rng = np.random.default_rng(d * p)
+    u, _, vt = np.linalg.svd(rng.standard_normal((40, d, p)), full_matrices=False)
+    decades = np.linspace(4.0, 10.0, 40)[:, None] * np.linspace(0.0, 1.0, p)
+    a = (u * 10.0 ** -decades[:, None, :]) @ vt
+    assert np.linalg.cond(a).min() >= 1e4 * 0.99
+    q = calibration._retract(a.T).T
+    assert _orthonormality_error(q) <= 1e-12
+    r = np.swapaxes(q, 1, 2) @ a
+    assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+    assert np.all(np.diagonal(r, axis1=1, axis2=2) > 0)
+    assert np.max(np.abs(q @ r - a)) <= 1e-12
 
 
 def test_restart_count_and_max_iter_must_be_integers():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -457,10 +459,11 @@ def test_stats_flag(tmp_path, capsys, pentagon_file):
     canonicalize(cayley, stats=canon)
     solve(circulant_matrix(2, (1, 2)), 2, stats=real)
     classify_small(5, 2, max_distance=2, stats=cls)
-    # one of this form's 13 starts stops short of the gradient tolerance
+    # some of the 43 starts of this dense 3-form stop short of the gradient
+    # tolerance, so the converged count is neither zero nor all
+    signs = random.Random(1)
     unsettled = SpecialForm.from_terms(
-        5, 4, [((1, 2, 3, 4), 1), ((1, 2, 3, 5), -1), ((1, 2, 4, 5), -1),
-               ((1, 3, 4, 5), -1), ((2, 3, 4, 5), 1)]
+        7, 3, [(s, signs.choice((1, -1))) for s in itertools.combinations(range(1, 8), 3)]
     )
     unsettled_path = write_json(tmp_path / "unsettled.json", unsettled.to_dict())
     rep = comass(unsettled, restarts=8)

@@ -280,6 +280,8 @@ def test_symmetry_families():
     assert count_symmetry_families(2 * 3 * 5 * 7) == bell(4)
     with pytest.raises(DomainError):
         symmetry_families(1)
+    with pytest.raises(CapacityError, match="vertex count of 5001 digits exceeds"):
+        symmetry_families(10**5000)  # too long for str()
 
 
 def _prime_factors(r: int) -> list[int]:
@@ -413,6 +415,8 @@ def test_classify_validation():
         classify_small(5, 2, alphabet=(0,))
     with pytest.raises(SpecialFormsError):
         classify_small(10**400 + 1, 3, 3)  # larger than any float
+    with pytest.raises(CapacityError, match="count of 5001 digits exceeds the cap"):
+        classify_small(10**5000 + 1, 3, 3)  # too long for str()
 
 
 def test_classify_rejects_a_non_integer_alphabet():
