@@ -4,8 +4,8 @@ A form is stored sparsely as its support: the strictly increasing index
 tuples that carry a nonzero component, each with a sign in {-1, +1}.  The
 group of signed permutations (permute the d coordinate axes, then flip any
 subset of them) acts on forms; `canonicalize` returns the least element of
-the orbit under a fixed total order, so orbit equivalence reduces to an
-equality test on canonical representatives.
+the orbit under a fixed total order, and `orbit_equivalent` matches one form
+against the least support and the automorphisms found for the other.
 
 Total order used throughout: terms are ordered by their index tuples
 lexicographically, and forms with the same support compare by their sign
@@ -323,6 +323,12 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # a permutation plus parity bits, which maps the flip span onto itself; the
 # answer is the least reduced coset in the orbit of l0's signature under
 # these actions, an orbit of at most 2^(w - rank) cosets.
+#
+# A match runs the same search with another form's least rows as the
+# incumbent from the start.  A candidate row below the target's row makes
+# this form's least rows smaller and fails the match at once; the first leaf
+# on the target ends it, before a tie could give a generator.  The forms are
+# equivalent when that leaf's sign coset is in the other's coset orbit.
 # ---------------------------------------------------------------------------
 
 
@@ -333,8 +339,11 @@ class SearchStats:
     `nodes` counts the branch positions entered, `leaves` the nodes at which
     every branching choice is fixed, `pruned` the branches cut by a bound or
     an automorphism and `solutions` the results returned or, for
-    `canonicalize`, the leaves that tie the least rows.  A search adds its
-    counts to the fields, so one object can total several calls.
+    `canonicalize`, the leaves that tie the least rows.  `orbit_equivalent`
+    adds the counts of its search of the first form and of its match of the
+    second, whose one solution is its leaf on the first form's least rows.
+    A search adds its counts to the fields, so one object can total several
+    calls.
     """
 
     nodes: int = 0
@@ -389,30 +398,21 @@ def _orbit(start, images) -> Iterator:
                 stack.append(b)
 
 
-def _least_signature(
-    rows: tuple[tuple[int, ...], ...],
-    base: int,
-    relabelings: Iterable[dict[int, int]],
-) -> int:
-    """Least reduced coset in the relabelings' orbit of a sign pattern's coset.
+def _reduced(v: int, pivots: list[tuple[int, int]]) -> int:
+    """The least element of a sign pattern's coset, given `flip_basis`."""
+    for piv, vec in pivots:
+        if (v >> piv) & 1:
+            v ^= vec
+    return v
+
+
+def _sign_orbit(rows, start: int, pivots, relabelings) -> Iterator[int]:
+    """The reduced cosets in the relabelings' orbit of the reduced coset `start`.
 
     Bit w-1-t of a pattern is set when row t has sign -1.  Each relabeling
     maps the rows onto themselves.
     """
-    if not base:
-        return 0  # the least coset there is
     w = len(rows)
-    pivots = flip_basis(rows)
-
-    def reduce(v: int) -> int:
-        for piv, vec in pivots:
-            if (v >> piv) & 1:
-                v ^= vec
-        return v
-
-    least = reduce(base)
-    if not least:
-        return 0
     index = {row: t for t, row in enumerate(rows)}
     actions = set()  # (image of each bit, parity mask) per relabeling
     for h in relabelings:
@@ -432,37 +432,33 @@ def _least_signature(
                 low = rest & -rest
                 u ^= bits[low.bit_length() - 1]
                 rest ^= low
-            out.append(reduce(u))
+            out.append(_reduced(u, pivots))
         return out
 
-    for v in _orbit(least, images):
+    return _orbit(start, images)
+
+
+def _least_signature(rows, base: int, relabelings) -> int:
+    """Least reduced coset in the relabelings' orbit of a sign pattern's coset."""
+    pivots = flip_basis(rows)
+    least = _reduced(base, pivots)
+    for v in _sign_orbit(rows, least, pivots, relabelings) if least else ():
         least = min(least, v)
         if not least:
             break
     return least
 
 
-def canonicalize(
-    form: SpecialForm,
-    *,
-    dimension_cap: int = DEFAULT_CANON_DIMENSION_CAP,
-    stats: Optional[SearchStats] = None,
-) -> SpecialForm:
-    """Least orbit element under the signed permutation group.
+def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple]:
+    """The least rows of the relabeled support, by the placement search above.
 
-    `stats`, when given, receives the placement nodes entered, the leaves,
-    the branches cut because an automorphism maps them onto explored ones,
-    and the leaves that tie the least rows.
+    Returns the rows, the sign pattern that the first leaf reaching them
+    gives the form, and the support automorphisms as maps of that leaf's
+    labels.  Given `target` rows it matches them instead, see above, and
+    returns None when no leaf reaches them.
     """
-    check_cap(form.d, dimension_cap, "canonicalization dimension")
-    w = form.weight
-    if w == 0:
-        return form
-    st = SearchStats() if stats is None else stats
-    p = form.p
+    w, p = form.weight, form.p
     members = [s.indices for s, _ in form.terms]
-    signs = [g for _, g in form.terms]
-
     terms_of = {
         x: [k for k, t in enumerate(members) if x in t] for x in range(1, form.d + 1)
     }
@@ -475,7 +471,7 @@ def canonicalize(
     path: list = []  # the choice made at each branching node above
     gens: list[_Generator] = []
     best: dict = {
-        "rows": None, "inverse": None, "order": None, "path": None, "ties": 0, "jump": None
+        "rows": target, "inverse": None, "order": None, "path": None, "ties": 0, "jump": None
     }
 
     def label(x: int, lab: int) -> None:
@@ -491,12 +487,11 @@ def canonicalize(
     def finish() -> None:
         st.leaves += 1
         rows_t = tuple(rows)
-        if best["rows"] is None or rows_t < best["rows"]:
-            best["rows"] = rows_t
+        if best["inverse"] is None or rows_t < best["rows"]:
+            best.update(rows=rows_t, order=list(order), path=list(path), ties=1)
             best["inverse"] = {lab: x for x, lab in label_of.items()}
-            best["order"] = list(order)
-            best["path"] = list(path)
-            best["ties"] = 1
+            if target:
+                best["jump"] = -1  # a match ends at its first leaf
         elif rows_t == best["rows"]:
             points = {x: best["inverse"][lab] for x, lab in label_of.items()}
             moved = frozenset(x for x, y in points.items() if x != y)
@@ -575,6 +570,9 @@ def canonicalize(
         cands.sort()
         incumbent = best["rows"]
         bound = incumbent[t] if incumbent and list(incumbent[:t]) == rows else None
+        if target and cands[0][0] < bound:
+            best["jump"] = -1  # every leaf below lies under the target
+            return
         explored: dict[tuple[int, ...], set[int]] = {}
         maps: list = []
         seen = 0
@@ -604,32 +602,69 @@ def canonicalize(
                 return
 
     place(0)
-    best_rows, inverse = best["rows"], best["inverse"]
-    labels = {x: lab for lab, x in inverse.items()}
-    base = 0
-    for t, (row, term) in enumerate(zip(best_rows, best["order"])):
-        _, par = _sorted_with_parity([inverse[a] for a in row])
-        if signs[term] * par < 0:
-            base |= 1 << (w - 1 - t)
-    sig = _least_signature(
-        best_rows,
-        base,
-        ({lab: labels[g.points[x]] for x, lab in labels.items()} for g in gens),
-    )
     st.solutions += best["ties"]
+    if best["inverse"] is None:
+        return None
+    inverse, base = best["inverse"], 0
+    for t, (row, term) in enumerate(zip(best["rows"], best["order"])):
+        _, par = _sorted_with_parity([inverse[a] for a in row])
+        if form.terms[term][1] * par < 0:
+            base |= 1 << (w - 1 - t)
+    labels = {x: lab for lab, x in inverse.items()}
+    maps = ({lab: labels[g.points[x]] for x, lab in labels.items()} for g in gens)
+    return best["rows"], base, maps
+
+
+def canonicalize(
+    form: SpecialForm,
+    *,
+    dimension_cap: int = DEFAULT_CANON_DIMENSION_CAP,
+    stats: Optional[SearchStats] = None,
+) -> SpecialForm:
+    """Least orbit element under the signed permutation group.
+
+    `stats`, when given, receives the placement nodes entered, the leaves,
+    the branches cut because an automorphism maps them onto explored ones,
+    and the leaves that tie the least rows.
+    """
+    check_cap(form.d, dimension_cap, "canonicalization dimension")
+    w = form.weight
+    if w == 0:
+        return form
+    rows, base, maps = _labeling(form, SearchStats() if stats is None else stats)
+    sig = _least_signature(rows, base, maps)
     terms = tuple(
         (OrientedSubset(row), -1 if (sig >> (w - 1 - t)) & 1 else 1)
-        for t, row in enumerate(best_rows)
+        for t, row in enumerate(rows)
     )
-    return SpecialForm(form.d, p, terms)
+    return SpecialForm(form.d, form.p, terms)
 
 
-def orbit_equivalent(a: SpecialForm, b: SpecialForm) -> bool:
-    """Whether two forms of equal (d, p) lie in the same orbit.  Refused, like
-    `canonicalize`, above DEFAULT_CANON_DIMENSION_CAP dimensions."""
+def orbit_equivalent(
+    a: SpecialForm, b: SpecialForm, *, stats: Optional[SearchStats] = None
+) -> bool:
+    """Whether two forms of equal (d, p) lie in the same orbit.
+
+    Forms of unequal weight differ; others are refused, like `canonicalize`,
+    above DEFAULT_CANON_DIMENSION_CAP dimensions.  One full search finds a's
+    least rows and automorphisms, and b is matched against those rows: one
+    search and one match in place of two canonicalizations, 45 placement
+    nodes and then 8 on the octonion 3-form against a moved copy.  b is in
+    a's orbit when its signs on the rows fall in the orbit of a's under a's
+    automorphisms, modulo the axis flips.  `stats` receives both counts.
+    """
     if (a.d, a.p) != (b.d, b.p):
         raise DomainError("orbit equivalence requires equal dimension and degree")
     if a.weight != b.weight:
         return False
-    cap = DEFAULT_CANON_DIMENSION_CAP
-    return canonicalize(a, dimension_cap=cap) == canonicalize(b, dimension_cap=cap)
+    check_cap(a.d, DEFAULT_CANON_DIMENSION_CAP, "canonicalization dimension")
+    if a.weight == 0:
+        return True
+    stats = SearchStats() if stats is None else stats
+    rows, start, maps = _labeling(a, stats)
+    match = _labeling(b, stats, rows)
+    if match is None:
+        return False
+    pivots = flip_basis(rows)
+    start, goal = _reduced(start, pivots), _reduced(match[1], pivots)
+    return start == goal or goal in _sign_orbit(rows, start, pivots, maps)

@@ -246,7 +246,24 @@ def test_canonicalize_pinned_outputs(name):
 def test_one_flipped_sign_leaves_the_cayley_orbit():
     f = cayley_form()
     for k in range(f.weight):
-        assert not orbit_equivalent(f, _flip_one_sign(f, k))
+        stats = SearchStats()
+        assert not orbit_equivalent(f, _flip_one_sign(f, k), stats=stats)
+        # the full search of the Cayley form, then a match that reaches its
+        # rows in 8 nodes and 1 leaf and fails on the signs
+        assert stats == SearchStats(nodes=45 + 8, leaves=6 + 1, pruned=11, solutions=6 + 1)
+
+
+def test_orbit_equivalent_search_stats_on_the_cayley_form():
+    f = cayley_form()
+    moved = apply(SignedPermutation.random(7, random.Random(3)), f)
+    stats = SearchStats()
+    assert orbit_equivalent(f, moved, stats=stats)
+    # the full search, then a match of 8 nodes where canonicalizing the
+    # moved copy enters 45
+    assert stats == SearchStats(nodes=45 + 8, leaves=6 + 1, pruned=11, solutions=6 + 1)
+    full = SearchStats()
+    canonicalize(moved, stats=full)
+    assert full == SearchStats(nodes=45, leaves=6, pruned=11, solutions=6)
 
 
 @st.composite
@@ -341,14 +358,77 @@ def test_canonicalize_search_stats_summed_over_seeded_forms():
 
 
 def test_orbit_equivalent():
-    assert orbit_equivalent(form(4, 2, ((1, 2), 1), ((3, 4), 1)),
-                            form(4, 2, ((1, 2), 1), ((3, 4), -1)))
-    assert not orbit_equivalent(form(4, 2, ((1, 2), 1), ((3, 4), 1)),
-                                form(4, 2, ((1, 2), 1), ((1, 3), 1)))
-    assert not orbit_equivalent(form(4, 2, ((1, 2), 1)),
-                                form(4, 2, ((1, 2), 1), ((3, 4), 1)))
+    disjoint = form(4, 2, ((1, 2), 1), ((3, 4), 1))
+    chain = form(4, 2, ((1, 2), 1), ((1, 3), 1))
+    assert orbit_equivalent(disjoint, form(4, 2, ((1, 2), 1), ((3, 4), -1)))
+    assert not orbit_equivalent(form(4, 2, ((1, 2), 1)), disjoint)
     with pytest.raises(DomainError):
         orbit_equivalent(form(4, 2, ((1, 2), 1)), form(5, 2, ((1, 2), 1)))
+    with pytest.raises(DomainError):
+        orbit_equivalent(form(4, 2, ((1, 2), 1)), form(4, 3, ((1, 2, 3), 1)))
+
+    disjoint_full, chain_full = SearchStats(), SearchStats()
+    canonicalize(disjoint, stats=disjoint_full)
+    canonicalize(chain, stats=chain_full)
+    assert disjoint_full == SearchStats(nodes=8, leaves=4, pruned=3, solutions=4)
+    assert chain_full == SearchStats(nodes=6, leaves=2, pruned=1, solutions=2)
+    # the chain's least rows (12, 13) lie below the target (12, 34): its
+    # match stops at the first candidate under the target, in 2 nodes
+    stats = SearchStats()
+    assert not orbit_equivalent(disjoint, chain, stats=stats)
+    assert stats == SearchStats(nodes=8 + 2, leaves=4, pruned=3, solutions=4)
+    # the other way round every candidate lies above the target (12, 13),
+    # so the match ends without a leaf, in 5 nodes
+    stats = SearchStats()
+    assert not orbit_equivalent(chain, disjoint, stats=stats)
+    assert stats == SearchStats(nodes=6 + 5, leaves=2, pruned=1, solutions=2)
+
+    # unequal weights differ before the cap is read; equal ones are refused
+    # above it before any search, weight 0 included
+    big = form(11, 2, ((1, 2), 1), ((10, 11), 1))
+    assert not orbit_equivalent(big, form(11, 2, ((1, 2), 1)))
+    assert not orbit_equivalent(SpecialForm(11, 2, ()), big)
+    for x, y in ((big, apply(SignedPermutation.identity(11), big)),
+                 (SpecialForm(11, 2, ()), SpecialForm(11, 2, ()))):
+        stats = SearchStats()
+        with pytest.raises(CapacityError):
+            orbit_equivalent(x, y, stats=stats)
+        assert stats == SearchStats()
+    for d in (1, 4, 10):
+        stats = SearchStats()
+        assert orbit_equivalent(SpecialForm(d, 1, ()), SpecialForm(d, 1, ()), stats=stats)
+        assert stats == SearchStats()
+
+
+def _with_signs(support, d, p, rng):
+    return form(d, p, *((s, rng.choice((1, -1))) for s in support))
+
+
+def test_orbit_equivalent_agrees_with_canonical_equality():
+    rng = random.Random(1515)
+    forms = [random_form(rng, d_max=6, w_max=10) for _ in range(100)]
+    # a form with more terms than axes has more than one sign class
+    while len(forms) < 160:
+        f = random_form(rng, d_max=6, w_max=10)
+        if f.weight > f.d:
+            forms.append(f)
+    unequal_signs = 0
+    for a in forms:
+        d, p, support = a.d, a.p, [s.indices for s in a.support]
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        # a moved copy, the support with fresh signs twice, then another support
+        partners = [a] + [_with_signs(support, d, p, rng) for _ in range(2)]
+        partners = [apply(SignedPermutation.random(d, rng), b) for b in partners]
+        partners.append(_with_signs(rng.sample(subsets, a.weight), d, p, rng))
+        c = canonicalize(a)
+        brute = brute_canonical(a) if d <= 4 else None
+        for k, b in enumerate(partners):
+            same = canonicalize(b) == c
+            assert orbit_equivalent(a, b) == orbit_equivalent(b, a) == same
+            if brute is not None:
+                assert same == (brute_canonical(b) == brute)
+            unequal_signs += k in (1, 2) and not same
+    assert unequal_signs >= 50
 
 
 def test_form_rejects_non_integers():
