@@ -260,7 +260,7 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
         inv[img] = i
     new_terms = []
     for subset, sign in form.terms:
-        pre, _ = _sorted_with_parity([inv[mu] for mu in subset.indices])
+        pre = tuple(sorted(inv[mu] for mu in subset.indices))
         # parity of (sigma(t_1), .., sigma(t_p)) against ascending order
         _, par = _sorted_with_parity([g.sigma[i - 1] for i in pre])
         flips = 1
@@ -302,6 +302,14 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # equalled row t-1 has the same fixed labels and cannot take all of row
 # t-1's fresh labels without being that term, so its row grows.
 #
+# Once every index of the support has a label, each unplaced term's row is
+# its fixed labels, and the walk is forced: one node per row, in sorted
+# order, and no sibling, which the bound left by the first child's subtree
+# cuts.  So these rows are sorted once and compared with the incumbent's:
+# at the first that differs the branch is cut if it is above, a match fails
+# if it is below, and a search goes on to a new incumbent.  `nodes` gains
+# what the walk would enter, one for each row compared and one for a leaf.
+#
 # Automorphisms of the support prune the search (McKay & Piperno, "Practical
 # graph isomorphism, II", 2014).  Let l0 be the labeling that first reaches
 # the incumbent rows.  A later leaf l that ties with them gives
@@ -342,8 +350,9 @@ class SearchStats:
     `canonicalize`, the leaves that tie the least rows.  `orbit_equivalent`
     adds the counts of its search of the first form and of its match of the
     second, whose one solution is its leaf on the first form's least rows.
-    A search adds its counts to the fields, so one object can total several
-    calls.
+    Rows built in one pass after the last fresh label count as the walk
+    would: a node per row compared, and one for a leaf.  A search adds its
+    counts to the fields, so one object can total several calls.
     """
 
     nodes: int = 0
@@ -459,9 +468,10 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
     """
     w, p = form.weight, form.p
     members = [s.indices for s, _ in form.terms]
-    terms_of = {
-        x: [k for k, t in enumerate(members) if x in t] for x in range(1, form.d + 1)
-    }
+    terms_of: dict[int, list[int]] = {}
+    for k, t in enumerate(members):
+        for x in t:
+            terms_of.setdefault(x, []).append(k)
 
     label_of: dict[int, int] = {}
     fixed: list[list[int]] = [[] for _ in range(w)]  # each term's labels
@@ -470,9 +480,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
     order: list[int] = []  # the term placed as each row
     path: list = []  # the choice made at each branching node above
     gens: list[_Generator] = []
-    best: dict = {
-        "rows": target, "inverse": None, "order": None, "path": None, "ties": 0, "jump": None
-    }
+    # the incumbent rows; the labels, row terms and path of the leaf l0
+    best, inverse, best_order, best_path = target, None, None, None
+    ties, jump = 0, None
 
     def label(x: int, lab: int) -> None:
         label_of[x] = lab
@@ -485,37 +495,32 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             fixed[k].pop()
 
     def finish() -> None:
+        nonlocal best, inverse, best_order, best_path, ties, jump
         st.leaves += 1
         rows_t = tuple(rows)
-        if best["inverse"] is None or rows_t < best["rows"]:
-            best.update(rows=rows_t, order=list(order), path=list(path), ties=1)
-            best["inverse"] = {lab: x for x, lab in label_of.items()}
+        if inverse is None or rows_t < best:
+            best, best_order, best_path, ties = rows_t, list(order), list(path), 1
+            inverse = {lab: x for x, lab in label_of.items()}
             if target:
-                best["jump"] = -1  # a match ends at its first leaf
-        elif rows_t == best["rows"]:
-            points = {x: best["inverse"][lab] for x, lab in label_of.items()}
+                jump = -1  # a match ends at its first leaf
+        elif rows_t == best:
+            points = {x: inverse[lab] for x, lab in label_of.items()}
             moved = frozenset(x for x, y in points.items() if x != y)
             # the tie puts the same row where l0 does, so the term placed as
             # row t maps onto l0's term there
-            terms = [0] * w
-            for a, b in zip(order, best["order"]):
-                terms[a] = b
-            gens.append(_Generator(points, moved, tuple(terms)))
-            best["ties"] += 1
+            terms = tuple(b for _, b in sorted(zip(order, best_order)))
+            gens.append(_Generator(points, moved, terms))
+            ties += 1
             # back to the node where this path leaves l0's, see above
-            best["jump"] = next(
-                k for k, (a, b) in enumerate(zip(path, best["path"])) if a != b
-            )
+            jump = next(k for k, (a, b) in enumerate(zip(path, best_path)) if a != b)
             st.pruned += 1
 
     def jumped() -> bool:
         """After a child returns: whether to leave this node's other children."""
-        if best["jump"] is None:
-            return False
-        if best["jump"] < len(path):
-            return True
-        best["jump"] = None
-        return False
+        nonlocal jump
+        if jump is not None and jump >= len(path):
+            jump = None
+        return jump is not None
 
     def fixing(seen: int) -> list[_Generator]:
         """The generators from the `seen`-th on that fix every labeled index."""
@@ -523,10 +528,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
 
     def meets(item: int, explored, maps: list) -> bool:
         """Whether the maps' closure takes item to an explored sibling."""
-        if any(a in explored for a in _orbit(item, lambda a: [m[a] for m in maps])):
-            st.pruned += 1
-            return True
-        return False
+        hit = any(a in explored for a in _orbit(item, lambda a: [m[a] for m in maps]))
+        st.pruned += hit
+        return hit
 
     def assign(t: int, term: int, need: list[int], labs: tuple[int, ...]) -> None:
         """Hand out `labs` smallest first to the unlabeled indices `need`."""
@@ -538,8 +542,7 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                 unlabel(x)
             return
         explored: set[int] = set()
-        maps: list = []
-        seen = 0
+        maps, seen = [], 0
         for x in need:
             if explored and len(gens) > seen:
                 maps += [g.points for g in fixing(seen) if g.terms[term] == term]
@@ -549,18 +552,44 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             explored.add(x)
             label(x, labs[0])
             path.append(x)
-            assign(t, term, [y for y in need if y != x], labs[1:])
+            rest = [y for y in need if y != x]
+            if len(rest) > 1:
+                assign(t, term, rest, labs[1:])
+            else:  # the last label has one place to go
+                label(rest[0], labs[1])
+                place(t + 1)
+                unlabel(rest[0])
             path.pop()
             unlabel(x)
             if jumped():
                 return
 
     def place(t: int) -> None:
+        nonlocal jump
         st.nodes += 1
         if t == w:
             finish()
             return
+        incumbent = best
+        bound = incumbent[t] if incumbent and list(incumbent[:t]) == rows else None
         n = len(label_of)
+        if n == len(terms_of):  # the forced tail, see above
+            tail = sorted((tuple(fixed[k]), k) for k in range(w) if not placed[k])
+            for i, (row, _) in enumerate(tail if bound else ()):
+                goal = incumbent[t + i]
+                if row < goal and not target:
+                    break  # the leaf is a new incumbent
+                if row != goal:  # a cut, or a failed match as below
+                    st.nodes += i
+                    jump = -1 if row < goal else None
+                    return
+            st.nodes += w - t
+            rows.extend(row for row, _ in tail)
+            order.extend(k for _, k in tail)
+            path.extend((k, ()) for _, k in tail)
+            finish()
+            del rows[t:], order[t:], path[len(path) - (w - t):]
+            return
         fresh = tuple(range(n + 1, n + 1 + p))
         cands = []
         for term in range(w):
@@ -568,17 +597,14 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                 combo = fresh[: p - len(fixed[term])]
                 cands.append((tuple(fixed[term]) + combo, term, combo))
         cands.sort()
-        incumbent = best["rows"]
-        bound = incumbent[t] if incumbent and list(incumbent[:t]) == rows else None
         if target and cands[0][0] < bound:
-            best["jump"] = -1  # every leaf below lies under the target
+            jump = -1  # every leaf below lies under the target
             return
         explored: dict[tuple[int, ...], set[int]] = {}
-        maps: list = []
-        seen = 0
+        maps, seen = [], 0
         for tup, term, combo in cands:
-            if best["rows"] is not incumbent:
-                incumbent = best["rows"]
+            if best is not incumbent:
+                incumbent = best
                 bound = incumbent[t]
             if bound is not None and tup > bound:
                 break  # candidates are sorted; nothing below can beat the incumbent
@@ -602,17 +628,17 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                 return
 
     place(0)
-    st.solutions += best["ties"]
-    if best["inverse"] is None:
+    st.solutions += ties
+    if inverse is None:
         return None
-    inverse, base = best["inverse"], 0
-    for t, (row, term) in enumerate(zip(best["rows"], best["order"])):
+    base = 0
+    for t, (row, term) in enumerate(zip(best, best_order)):
         _, par = _sorted_with_parity([inverse[a] for a in row])
         if form.terms[term][1] * par < 0:
             base |= 1 << (w - 1 - t)
     labels = {x: lab for lab, x in inverse.items()}
     maps = ({lab: labels[g.points[x]] for x, lab in labels.items()} for g in gens)
-    return best["rows"], base, maps
+    return best, base, maps
 
 
 def canonicalize(
@@ -647,9 +673,8 @@ def orbit_equivalent(
 
     Forms of unequal weight differ; others are refused, like `canonicalize`,
     above DEFAULT_CANON_DIMENSION_CAP dimensions.  One full search finds a's
-    least rows and automorphisms, and b is matched against those rows: one
-    search and one match in place of two canonicalizations, 45 placement
-    nodes and then 8 on the octonion 3-form against a moved copy.  b is in
+    least rows and automorphisms, and b is matched against those rows, in 45
+    and 8 placement nodes for the octonion 3-form and a moved copy.  b is in
     a's orbit when its signs on the rows fall in the orbit of a's under a's
     automorphisms, modulo the axis flips.  `stats` receives both counts.
     """

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -429,6 +430,113 @@ def test_orbit_equivalent_agrees_with_canonical_equality():
                 assert same == (brute_canonical(b) == brute)
             unequal_signs += k in (1, 2) and not same
     assert unequal_signs >= 50
+
+
+def test_orbit_equivalent_search_stats_summed_over_seeded_pairs():
+    # Counts pinned from the search that placed every forced row in a frame
+    # of its own; building the fully labeled rows in one pass must enter the
+    # same tree.
+    rng = random.Random(1717)
+    stats, same = SearchStats(), 0
+    for _ in range(110):
+        d = rng.randint(4, 7)
+        p = rng.randint(2, d - 2)
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        support = rng.sample(subsets, rng.randint(1, min(12, len(subsets))))
+        a = _with_signs(support, d, p, rng)
+        # a moved copy, the support with fresh signs moved, another support
+        partners = (a, _with_signs(support, d, p, rng))
+        partners = [apply(SignedPermutation.random(d, rng), b) for b in partners]
+        partners.append(_with_signs(rng.sample(subsets, len(support)), d, p, rng))
+        for b in partners:
+            same += orbit_equivalent(a, b, stats=stats)
+    assert same == 216
+    assert stats == SearchStats(nodes=70352, leaves=2304, pruned=2421, solutions=906)
+
+
+def test_canonicalize_search_stats_summed_over_dense_forms():
+    # At least half of all p-subsets: most rows come after every index has
+    # its label.
+    rng = random.Random(1718)
+    stats = SearchStats()
+    for _ in range(200):
+        d = rng.randint(4, 6)
+        p = rng.randint(2, d - 2)
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        support = rng.sample(subsets, rng.randint((len(subsets) + 1) // 2, len(subsets)))
+        canonicalize(_with_signs(support, d, p, rng), stats=stats)
+    assert stats == SearchStats(nodes=41372, leaves=1426, pruned=2295, solutions=433)
+
+
+def _placement_frames(f: SpecialForm) -> int:
+    """The frames of the per-row placement step that canonicalizing f opens."""
+    forms_file = canonicalize.__code__.co_filename
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        code = frame.f_code
+        if event == "call" and code.co_name == "place" and code.co_filename == forms_file:
+            frames += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        canonicalize(f)
+    finally:
+        sys.setprofile(previous)
+    return frames
+
+
+def test_forced_rows_are_placed_in_one_pass():
+    # The node counts stay 45 and 240, see the pins above, but the rows
+    # after the last fresh label open no frame of their own.
+    assert _placement_frames(cayley_form()) <= 21
+    assert _placement_frames(_seeded_full_form(7, 3, 3)) <= 30
+
+
+def test_match_fails_inside_the_forced_tail():
+    star = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((1, 4), 1))
+    path = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), 1))
+    triangle = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
+    # Each full search enters 10 nodes.  Rows 12 and 13 label all of the
+    # triangle; its row 23 lies below the path's row 24, so the match fails
+    # there ...
+    stats = SearchStats()
+    assert not orbit_equivalent(path, triangle, stats=stats)
+    assert stats == SearchStats(nodes=10 + 3, leaves=2, pruned=2, solutions=2)
+    # ... and above the star's row 14, so the match ends without a leaf.
+    stats = SearchStats()
+    assert not orbit_equivalent(star, triangle, stats=stats)
+    assert stats == SearchStats(nodes=10 + 13, leaves=3, pruned=3, solutions=3)
+
+
+def test_forced_tail_from_row_two():
+    # Rows 123 and 124 label all four indices.
+    f = _seeded_full_form(4, 3, 1)
+    stats = SearchStats()
+    assert str(canonicalize(f, stats=stats)) == "e123 + e124 + e134 + e234"
+    assert stats == SearchStats(nodes=17, leaves=4, pruned=6, solutions=4)
+    rng = random.Random(4)
+    for g in (apply(SignedPermutation.random(4, rng), f), _flip_one_sign(f, 0)):
+        stats = SearchStats()
+        assert orbit_equivalent(f, g, stats=stats)
+        assert stats == SearchStats(nodes=17 + 5, leaves=4 + 1, pruned=6, solutions=4 + 1)
+
+
+def test_cayley_sign_classes_through_tie_leaves_in_the_forced_tail():
+    # Rows 0-2 of the Fano support label all seven indices, so each of its
+    # tie leaves, and the generator taken from it, is reached in one pass.
+    # Its 128 sign patterns fall into 8 flip cosets and 2 orbits.
+    cayley = cayley_form()
+    outputs, full, matched, same = set(), SearchStats(), SearchStats(), 0
+    for signs in itertools.product((1, -1), repeat=7):
+        f = SpecialForm(7, 3, tuple((s, g) for (s, _), g in zip(cayley.terms, signs)))
+        outputs.add(canonicalize(f, stats=full))
+        same += orbit_equivalent(cayley, f, stats=matched)
+    assert len(outputs) == 2 and same == 16
+    assert full == SearchStats(nodes=5760, leaves=768, pruned=1408, solutions=768)
+    assert matched == SearchStats(nodes=6784, leaves=896, pruned=1408, solutions=896)
 
 
 def test_form_rejects_non_integers():
