@@ -11,7 +11,7 @@ f(R(x + a xi)) >= f(x) + ARMIJO * a * |xi|^2 (Absil, Mahony and Sepulchre,
 raises the value strictly, since near a maximum the Armijo margin falls
 below rounding; R is their QR retraction (section 4.1.1), by Gram-Schmidt.
 A start stops, flagged converged, once |xi| < GRAD_TOL; it also stops when
-no step down to MIN_STEP passes, or after `max_iter` steps.  The minors
+no step down to MIN_STEP passes, or after MAX_ITER steps.  The minors
 are Plücker coordinates, taken level by level by Laplace expansion over a
 plan of row subsets built once per call; the gradient is its adjoint.  The
 starts run in blocks whose plan working set, 4 floats per subset row of
@@ -36,8 +36,8 @@ ORTHONORMALITY_ATOL = 1e-10
 
 DEFAULT_RESTARTS = 200
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 500
 
+MAX_ITER = 500
 ARMIJO = 0.5
 GRAD_TOL = 1e-7
 MIN_STEP = 1e-10
@@ -187,13 +187,13 @@ def _retract(t: np.ndarray) -> np.ndarray:
     return q
 
 
-def _ascend(t, levels, signs, max_iter):
+def _ascend(t, levels, signs):
     """Armijo gradient ascent, in place, of every start in a (p, d, n)
     block t = x.T; returns the frames, values, step counts and flags."""
     import numpy as np
     val, n = _values(t.T, levels, signs), t.shape[2]
     step, iterations, converged = np.ones(n), np.zeros(n, int), np.zeros(n, bool)
-    active = np.flatnonzero(iterations < max_iter)
+    active = np.arange(n)
     while active.size:
         ta = t[..., active]
         g = _gradient(ta, levels, signs)
@@ -220,7 +220,7 @@ def _ascend(t, levels, signs, max_iter):
             trial[pending] /= 2.0
             pending = pending[trial[pending] >= MIN_STEP]
         active = active[moved]
-        active = active[iterations[active] < max_iter]
+        active = active[iterations[active] < MAX_ITER]
     return t, val, iterations, converged
 
 
@@ -298,21 +298,16 @@ def comass(
     tol: float = DEFAULT_TOL,
     *,
     seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ComassReport:
     """Best evaluation over orthonormal frames found by gradient ascent.
 
     Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
     maximum, the lexicographically smallest rounded frame is reported."""
     import numpy as np
-    restarts, max_iter, seed = as_ints(
-        (restarts, max_iter, seed), "restarts, max_iter and seed"
-    )
+    restarts, seed = as_ints((restarts, seed), "restarts and seed")
     if restarts < 0:
         raise DomainError(f"restart count must be >= 0, got {restarts}")
     check_cap(restarts, MAX_RESTARTS, "restart count")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
@@ -333,7 +328,7 @@ def comass(
         hi = min(lo + block, w + restarts)
         fresh = rng.standard_normal((max(0, hi - max(lo, w)), d, p))
         t = np.concatenate([support[..., lo:hi], _retract(fresh.T)], axis=2)
-        t, val, its, conv = _ascend(t, levels, signs, max_iter)
+        t, val, its, conv = _ascend(t, levels, signs)
         runs.append((val, its, conv))
         near_v = np.concatenate([near_v, val])
         near_x = np.concatenate([near_x, t.T])

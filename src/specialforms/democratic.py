@@ -6,8 +6,10 @@ one-factor case, give the standard families; `symmetry_families` splits a
 vertex count into cyclic factors by a recursion over its divisors.
 `classify_small` exhaustively enumerates the candidates whose rows all hold
 the same values, each twice, for small odd prime vertex counts and checks
-that each democratic one is a relabeled circulant.  Each construction checks
-a module cap before any work and raises CapacityError above it.
+that each democratic one is a relabeled circulant; it classifies once over
+the ranks of the values and renames that catalog for each value set.  Each
+construction checks a module cap before any work and raises CapacityError
+above it.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ MAX_FAMILY_VERTICES = 2**30
 MAX_FAMILIES = 20_000
 MAX_BELL_M = 1500
 
-# classify_small: candidates per set of (r - 1) / 2 values, the cap on all of
-# them (on 3 and 5 vertices each is a ~1 KB catalog entry), rows 0 per block.
+# classify_small: candidates per set of (r - 1) / 2 values, and the cap on all
+# of them (on 3 and 5 vertices each is a ~1 KB catalog entry).
 CANDIDATES_PER_VALUE_SET = {3: 1, 5: 12, 7: 13950}
 MAX_CANDIDATES = 200_000
-BLOCK_SIZE = 16
 
 
 def circulant_matrix(n: int, distances: Sequence[int]) -> DistanceMatrix:
@@ -322,43 +323,20 @@ class ClassificationCatalog:
         }
 
 
-def _first_rows(r: int, q: int, size: int, stats: SearchStats) -> np.ndarray:
-    """Every completed row 0 over the alphabet ranks, in search order.
-
-    A child closes a value its parent holds once, or opens an unused one
-    while the parent holds fewer than q values (with 2q slots, that leaves a
-    slot for each value held once).  Only the children are built."""
-    import numpy as np
-    ranks = np.arange(size, dtype=np.min_scalar_type(size))
-    rows = np.zeros((1, 0), ranks.dtype)
-    for _ in range(r - 1):
-        count = (rows[:, :, None] == rows[:, None, :]).sum(2)
-        distinct = (count == 1).sum(1) + (count == 2).sum(1) // 2
-        opens = np.flatnonzero(distinct < q)
-        open_parent, open_val = opens.repeat(size), np.tile(ranks, len(opens))
-        unused = ~(rows[open_parent] == open_val[:, None]).any(1)
-        close_parent, col = np.nonzero(count == 1)
-        parent = np.concatenate([open_parent[unused], close_parent])
-        val = np.concatenate([open_val[unused], rows[close_parent, col]])
-        order = np.lexsort((val, parent))
-        stats.nodes += len(order)
-        stats.pruned += len(rows) * size - len(order)
-        rows = np.column_stack([rows[parent[order]], val[order]])
-    return rows
-
-
 def _same_triangles(m: np.ndarray, q: int) -> np.ndarray:
     """Which matrices of ranks below q (diagonals unread) show every vertex
     the same multiset of triangles (shorter and longer side at the vertex,
     opposite side): a necessary condition for vertex transitivity."""
     import numpy as np
     r = m.shape[1]
-    v = np.arange(r)[:, None]
-    a, b = (v + 1 + np.array(np.triu_indices(r - 1, 1))[:, None]) % r
-    va, vb = m[:, v, a], m[:, v, b]
-    key = (np.minimum(va, vb) * q + np.maximum(va, vb)) * q + m[:, a, b]
-    key.sort(axis=2)
-    return (key == key[:, :1]).all(axis=(1, 2))
+    same, first = np.ones(len(m), bool), None
+    for v in range(r):  # one vertex at a time keeps the working set small
+        a, b = (v + 1 + np.array(np.triu_indices(r - 1, 1))) % r
+        va, vb = m[:, v, a], m[:, v, b]
+        key = np.sort((np.minimum(va, vb) * q + np.maximum(va, vb)) * q + m[:, a, b])
+        first = key if first is None else first
+        same &= (key == first).all(1)
+    return same
 
 
 def classify_small(
@@ -376,19 +354,23 @@ def classify_small(
     matrix is lost, as an automorphism maps row v onto row sigma(v), so a
     vertex-transitive matrix has equal row multisets.  Their number,
     C(|alphabet|, q) * CANDIDATES_PER_VALUE_SET[r], must not exceed
-    MAX_CANDIDATES (CapacityError).  The upper triangle is filled row by
-    row, values ascending, so candidates come in lexicographic order: row 0
-    level by level over the alphabet, then blocks of BLOCK_SIZE completed
-    rows 0 over their own values as int8 ranks, keeping the children whose
-    two rows hold the value at most once.  A vectorised triangle-profile
-    filter runs per block; only its survivors become DistanceMatrix objects
-    and are matched against the circulants on their value set.  A match is
-    democratic, as the translations of Z_r are automorphisms of every
-    circulant, so only a candidate that matches none is tested for
-    democracy; one that passes refutes the theorem and is kept with no
-    witness (theorem_verified: none such).  `stats` gains the prefixes
-    entered, root included, as nodes, rejected value choices as pruned,
-    candidates as leaves and catalog entries as solutions.
+    MAX_CANDIDATES (CapacityError).
+
+    Renaming a value set onto the ranks 1..q in order is a bijection onto
+    the candidates over 1..q that keeps lexicographic order, triangle
+    profiles, automorphisms and circulant witnesses, so the search runs once,
+    over the ranks: the upper triangle is filled level by level, row by row
+    and ranks ascending, keeping the children whose two rows hold the rank
+    at most once.  A vectorised triangle-profile filter runs on the leaves;
+    only its survivors become DistanceMatrix objects and are matched against
+    the q! circulants on 1..q.  A match is democratic, as the translations
+    of Z_r are automorphisms of every circulant, so only a candidate that
+    matches none is tested for democracy; one that passes refutes the
+    theorem and is kept with no witness (theorem_verified: none such).  For
+    each q-subset V of the alphabet the catalog, circulant distances
+    included, is renamed through 1..q -> V, and all entries are merged into
+    lexicographic upper-triangle order.  `stats` gains the counts that
+    SearchStats lists; the tree is not walked when no value set exists.
     """
     import numpy as np
     r, p = as_ints((r, p), "vertex count and degree")
@@ -414,51 +396,49 @@ def classify_small(
     q = (r - 1) // 2
     expected = math.comb(len(alpha), q) * CANDIDATES_PER_VALUE_SET[r]
     check_cap(expected, MAX_CANDIDATES, "candidate count")
+    value_sets = list(itertools.combinations(alpha, q))
     stats = stats or SearchStats()
     stats.nodes += 1
 
     iu, ju = np.triu_indices(r, 1)
     pos = np.full((r, r), -1)
     pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
-    levels = [(pos[i, np.r_[:i, i + 1 : j]], pos[j, :i]) for i, j in zip(iu, ju) if i]
-    first = _first_rows(r, q, len(alpha), stats)
-    value_sets = np.sort(first, axis=1)[:, ::2]
-    local = (first[:, :, None] > value_sets[:, None, :]).sum(2, dtype=np.int8)
-    ranks, values = np.arange(q, dtype=np.int8), np.array(alpha)
-    candidates, candidate_count = [], 0
-    for lo in range(0, len(first), BLOCK_SIZE):
-        upper = local[lo : lo + BLOCK_SIZE]
-        owner = np.arange(lo, lo + len(upper))
-        for row_i, row_j in levels:
-            room = (upper[:, row_i, None] == ranks).sum(1) < 2
-            room &= (upper[:, row_j, None] == ranks).sum(1) < 2
-            parent, val = np.nonzero(room)
-            stats.nodes += len(parent)
-            stats.pruned += room.size - len(parent)
-            upper = np.column_stack([upper[parent], val.astype(np.int8)])
-            owner = owner[parent]
-        candidate_count += len(upper)
-        keep = _same_triangles(upper[:, pos], q)
-        ranked = np.take_along_axis(value_sets[owner[keep]], upper[keep], axis=1)
-        full = np.pad(values[ranked], ((0, 0), (0, 1)))[:, pos]
-        candidates.extend(map(DistanceMatrix.from_rows, full.tolist()))
+    ranks = np.arange(q, dtype=np.int8)
+    upper = np.zeros((1 if value_sets else 0, 0), np.int8)
+    for i, j in zip(iu, ju):
+        room = (upper[:, pos[i, np.r_[:i, i + 1 : j]], None] == ranks).sum(1) < 2
+        room &= (upper[:, pos[j, :i], None] == ranks).sum(1) < 2
+        parent, val = np.nonzero(room)
+        stats.nodes += len(parent)
+        stats.pruned += room.size - len(parent)
+        upper = np.column_stack([upper[parent], val.astype(np.int8)])
+    candidate_count = len(upper) * len(value_sets)
     stats.leaves += candidate_count
 
-    entries: list[CatalogEntry] = []
-    target_cache: dict[tuple[int, ...], list] = {}
-    for cand in candidates:
-        used = cand.distances()
-        if used not in target_cache:
-            perms = itertools.permutations(used)
-            target_cache[used] = [(perm, circulant_matrix(q, perm)) for perm in perms]
-        for perm, target in target_cache[used]:
+    full = np.pad(upper[_same_triangles(upper[:, pos], q)] + 1, ((0, 0), (0, 1)))[:, pos]
+    perms = itertools.permutations(range(1, q + 1))
+    targets = [(perm, circulant_matrix(q, perm)) for perm in perms]
+    found = []  # the catalog over the ranks 1..q
+    for cand in map(DistanceMatrix.from_rows, full.tolist()):
+        for perm, target in targets:
             wit = find_relabeling(cand, target)
             if wit is not None:
-                entries.append(CatalogEntry(matrix=cand, distances=perm, witness=wit))
+                found.append((cand, perm, wit))
                 break
         else:
             if is_democratic(cand):
-                entries.append(CatalogEntry(matrix=cand, distances=None, witness=None))
+                found.append((cand, None, None))
+    entries = []
+    for vs in value_sets:
+        name = (0, *vs)
+        renamed = name != tuple(range(q + 1))
+        for cand, perm, wit in found:
+            matrix = cand
+            if renamed:
+                matrix = DistanceMatrix.from_rows([[name[x] for x in row] for row in cand.entries])
+            dist = None if perm is None else tuple(name[k] for k in perm)
+            entries.append(CatalogEntry(matrix=matrix, distances=dist, witness=wit))
+    entries.sort(key=lambda e: e.matrix.entries)  # upper triangles in lexicographic order
     stats.solutions += len(entries)
 
     return ClassificationCatalog(

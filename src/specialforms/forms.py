@@ -342,17 +342,28 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 
 @dataclass
 class SearchStats:
-    """Work counters of an exhaustive search.
+    """Work counters of an exhaustive search; a search adds its counts to
+    the fields, so one object can total several calls.  By search:
 
-    `nodes` counts the branch positions entered, `leaves` the nodes at which
-    every branching choice is fixed, `pruned` the branches cut by a bound or
-    an automorphism and `solutions` the results returned or, for
-    `canonicalize`, the leaves that tie the least rows.  `orbit_equivalent`
-    adds the counts of its search of the first form and of its match of the
-    second, whose one solution is its leaf on the first form's least rows.
-    Rows built in one pass after the last fresh label count as the walk
-    would: a node per row compared, and one for a leaf.  A search adds its
-    counts to the fields, so one object can total several calls.
+    - placement (`canonicalize`; `orbit_equivalent` adds its search of the
+      first form and its match of the second): `nodes` the positions
+      entered, rows built in one pass after the last fresh label counting as
+      the walk would, a node per row compared and one for a leaf; `leaves`
+      the leaves reached; `pruned` the children skipped as an automorphism
+      maps them onto an explored sibling, and each leaf that ties the
+      incumbent and jumps back, but no bound cut, one-pass cut or failed
+      match; `solutions` the leaves on the least rows (a match: its leaf).
+    - `realization.solve`: `nodes` the subset positions entered, forced
+      zero weights included; `leaves` the positions past the last branching
+      subset; `pruned` the positions cut by the pair-budget bound;
+      `solutions` the weight functions returned.
+    - `graphs._extend`, the kernel of `symmetries`, `is_democratic` and
+      `find_relabeling`: `nodes` the positions entered past the pinned
+      prefix, `leaves` one per bijection found, and nothing else.
+    - `democratic.classify_small`: `nodes` the prefixes entered of its tree
+      over the ranks 1..q, root included, and `pruned` the rank choices
+      rejected, the tree walked once per call; `leaves` the candidates over
+      the alphabet; `solutions` the catalog entries.
     """
 
     nodes: int = 0
@@ -477,11 +488,10 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
     fixed: list[list[int]] = [[] for _ in range(w)]  # each term's labels
     placed = [False] * w
     rows: list[tuple[int, ...]] = []
-    order: list[int] = []  # the term placed as each row
     path: list = []  # the choice made at each branching node above
     gens: list[_Generator] = []
-    # the incumbent rows; the labels, row terms and path of the leaf l0
-    best, inverse, best_order, best_path = target, None, None, None
+    # the incumbent rows; the labels, term of each row and path of the leaf l0
+    best, inverse, best_term, best_path = target, None, None, None
     ties, jump = 0, None
 
     def label(x: int, lab: int) -> None:
@@ -495,20 +505,22 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             fixed[k].pop()
 
     def finish() -> None:
-        nonlocal best, inverse, best_order, best_path, ties, jump
+        nonlocal best, inverse, best_term, best_path, ties, jump
         st.leaves += 1
         rows_t = tuple(rows)
         if inverse is None or rows_t < best:
-            best, best_order, best_path, ties = rows_t, list(order), list(path), 1
+            best, best_path, ties = rows_t, list(path), 1
             inverse = {lab: x for x, lab in label_of.items()}
+            # at a leaf each term's fixed labels are its row
+            best_term = {tuple(fixed[k]): k for k in range(w)}
             if target:
                 jump = -1  # a match ends at its first leaf
         elif rows_t == best:
             points = {x: inverse[lab] for x, lab in label_of.items()}
             moved = frozenset(x for x, y in points.items() if x != y)
-            # the tie puts the same row where l0 does, so the term placed as
-            # row t maps onto l0's term there
-            terms = tuple(b for _, b in sorted(zip(order, best_order)))
+            # the tie puts the same rows where l0 does, so each term maps
+            # onto l0's term with its row
+            terms = tuple(best_term[tuple(fixed[k])] for k in range(w))
             gens.append(_Generator(points, moved, terms))
             ties += 1
             # back to the node where this path leaves l0's, see above
@@ -574,8 +586,8 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
         bound = incumbent[t] if incumbent and list(incumbent[:t]) == rows else None
         n = len(label_of)
         if n == len(terms_of):  # the forced tail, see above
-            tail = sorted((tuple(fixed[k]), k) for k in range(w) if not placed[k])
-            for i, (row, _) in enumerate(tail if bound else ()):
+            tail = sorted(tuple(fixed[k]) for k in range(w) if not placed[k])
+            for i, row in enumerate(tail if bound else ()):
                 goal = incumbent[t + i]
                 if row < goal and not target:
                     break  # the leaf is a new incumbent
@@ -584,11 +596,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                     jump = -1 if row < goal else None
                     return
             st.nodes += w - t
-            rows.extend(row for row, _ in tail)
-            order.extend(k for _, k in tail)
-            path.extend((k, ()) for _, k in tail)
+            rows.extend(tail)
             finish()
-            del rows[t:], order[t:], path[len(path) - (w - t):]
+            del rows[t:]
             return
         fresh = tuple(range(n + 1, n + 1 + p))
         cands = []
@@ -617,11 +627,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             explored.setdefault(combo, set()).add(term)
             placed[term] = True
             rows.append(tup)
-            order.append(term)
             path.append((term, combo))
             assign(t, term, [x for x in members[term] if x not in label_of], combo)
             path.pop()
-            order.pop()
             rows.pop()
             placed[term] = False
             if jumped():
@@ -632,9 +640,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
     if inverse is None:
         return None
     base = 0
-    for t, (row, term) in enumerate(zip(best, best_order)):
-        _, par = _sorted_with_parity([inverse[a] for a in row])
-        if form.terms[term][1] * par < 0:
+    for t, row in enumerate(best):
+        preimage, par = _sorted_with_parity([inverse[a] for a in row])
+        if form._sign_by_subset[preimage] * par < 0:
             base |= 1 << (w - 1 - t)
     labels = {x: lab for lab, x in inverse.items()}
     maps = ({lab: labels[g.points[x]] for x, lab in labels.items()} for g in gens)
@@ -649,9 +657,7 @@ def canonicalize(
 ) -> SpecialForm:
     """Least orbit element under the signed permutation group.
 
-    `stats`, when given, receives the placement nodes entered, the leaves,
-    the branches cut because an automorphism maps them onto explored ones,
-    and the leaves that tie the least rows.
+    `stats`, when given, gains the placement counts that SearchStats lists.
     """
     check_cap(form.d, dimension_cap, "canonicalization dimension")
     w = form.weight

@@ -175,13 +175,6 @@ class SymmetryGroupReport:
     transitive: bool
     generators: tuple[tuple[int, ...], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "transitive": self.transitive,
-            "generators": [list(g) for g in self.generators],
-        }
-
 
 def symmetries(
     m: DistanceMatrix, *, stats: Optional[SearchStats] = None
