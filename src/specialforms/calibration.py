@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, PreconditionError, as_ints, check_cap
+from .errors import DomainError, PreconditionError, as_ints, check_cap, malformed
 from .forms import SpecialForm
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
@@ -80,10 +80,8 @@ class Frame:
     def coordinate(cls, d: int, indices) -> "Frame":
         """The coordinate plane spanned by the given axes, in order."""
         import numpy as np
-        (d,) = as_ints((d,), "dimension")
-        idx = as_ints(indices, "axes")
-        if any(not 1 <= i <= d for i in idx):
-            raise DomainError(f"axes {idx} outside [1, {d}]")
+        (d,) = as_ints((d,), "dimension", low=1)
+        idx = as_ints(indices, "axes", 1, d)
         return cls(np.eye(d)[[i - 1 for i in idx]])
 
 
@@ -275,7 +273,7 @@ class ComassReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ComassReport":
-        try:
+        with malformed("comass report"):
             return cls(
                 max_value=float(data["max_value"]),
                 calibrated=_as_bool(data["calibrated"]),
@@ -288,8 +286,6 @@ class ComassReport:
                 converged=tuple(map(_as_bool, data["converged"])),
                 frame=Frame(data["frame"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed comass report: {exc}") from exc
 
 
 def comass(
@@ -304,12 +300,9 @@ def comass(
     Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
     maximum, the lexicographically smallest rounded frame is reported."""
     import numpy as np
-    restarts, seed = as_ints((restarts, seed), "restarts and seed")
-    if restarts < 0:
-        raise DomainError(f"restart count must be >= 0, got {restarts}")
+    (restarts,) = as_ints((restarts,), "restart count", low=0)
     check_cap(restarts, MAX_RESTARTS, "restart count")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    (seed,) = as_ints((seed,), "seed", low=0)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise DomainError(f"tolerance must be a real number, got {tol!r}")
     if not 0.0 < tol <= 1e-2:

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .calibration import DEFAULT_RESTARTS, DEFAULT_TOL
-from .errors import DomainError
+from .errors import DomainError, as_ints
 from .forms import DEFAULT_CANON_DIMENSION_CAP
 from .realization import DEFAULT_SOLVER_VERTEX_CAP
 
@@ -33,8 +33,7 @@ class RunConfig:
     def validate(self) -> None:
         # comass checks seed, comass_tol and comass_restarts, as it does the flags
         for name in ("canon_d_cap", "solver_r_cap"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+            as_ints((getattr(self, name),), name, low=1)
         if self.format not in _FORMATS:
             raise DomainError(
                 f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}"

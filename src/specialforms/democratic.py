@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .errors import DomainError, as_ints, check_cap
+from .errors import DomainError, as_factors, as_ints, check_cap, unchecked
 from .forms import SearchStats
 from .graphs import DistanceMatrix, find_relabeling, is_democratic
 
@@ -60,9 +60,9 @@ def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
     index class exactly once.
     """
     import numpy as np
-    (r,) = as_ints((r,), "vertex count")
-    if r < 2 or r % 2 != 0:
-        raise DomainError(f"vertex count must be even and >= 2, got {r}")
+    (r,) = as_ints((r,), "vertex count", low=2)
+    if r % 2 != 0:
+        raise DomainError(f"vertex count must be even, got {r}")
     check_cap(r, MAX_VERTICES, "vertex count")
     dist = _distances(distances, r - 1)
     # index (i + j) mod (r - 1) + 1 into [0, d_{r-1}, d_1, ..., d_{r-2}] on
@@ -73,15 +73,20 @@ def even_example_matrix(r: int, distances: Sequence[int]) -> DistanceMatrix:
     index[-1, :-1] = index[:-1, -1] = index[a, a]
     index[a, a] = 0
     values = [0, dist[-1], *dist[:-1]]
-    return DistanceMatrix.from_rows([[values[i] for i in row] for row in index.tolist()])
+    return _matrix(values, index.tolist())
+
+
+def _matrix(values: Sequence[int], index: Sequence[Sequence[int]]) -> DistanceMatrix:
+    """The matrix of entries values[index[u][v]], built unchecked: the index table
+    is symmetric and 0 on the diagonal only, and ints values[0] == 0 < values[1:]."""
+    entries = tuple(tuple(map(values.__getitem__, row)) for row in index)
+    return unchecked(DistanceMatrix, r=len(entries), entries=entries)
 
 
 def _distances(distances: Sequence[int], count: int) -> tuple[int, ...]:
-    dist = as_ints(distances, "distances")
+    dist = as_ints(distances, "distances", low=1)
     if len(dist) != count:
         raise DomainError(f"expected {count} distances, got {len(dist)}")
-    if any(x < 1 for x in dist):
-        raise DomainError("distances must be >= 1")
     return dist
 
 
@@ -92,13 +97,8 @@ class Factorization:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(sorted(as_ints(self.factors, "factors"), reverse=True))
-        object.__setattr__(self, "factors", factors)
-        if not factors:
-            raise DomainError("factorization must have at least one factor")
-        if factors[-1] < 2:
-            raise DomainError(f"factors must be >= 2, got {factors}")
-        check_cap(self.r, MAX_VERTICES, "vertex count")
+        factors = as_factors(self.factors, MAX_VERTICES)
+        object.__setattr__(self, "factors", tuple(sorted(factors, reverse=True)))
 
     @property
     def r(self) -> int:
@@ -138,25 +138,18 @@ class DistanceAssignment:
     values: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
-        factors = as_ints(self.factors, "factors")
+        factors = as_factors(self.factors, MAX_VERTICES)
         object.__setattr__(self, "factors", factors)
         orbits = [as_ints(rep, "difference orbits") for rep, _ in self.values]
-        dist = as_ints((v for _, v in self.values), "distances")
+        dist = as_ints((v for _, v in self.values), "distances", low=1)
         vals = tuple(sorted(zip(orbits, dist)))
         object.__setattr__(self, "values", vals)
-        reps = self.orbit_representatives(factors)
-        if tuple(rep for rep, _ in vals) != reps:
-            raise DomainError(
-                "assignment must give exactly one value per difference orbit"
-            )
-        if any(v < 1 for _, v in vals):
-            raise DomainError("distances must be >= 1")
+        if tuple(rep for rep, _ in vals) != _difference_orbits(factors)[1]:
+            raise DomainError("assignment must give exactly one value per difference orbit")
 
     @staticmethod
     def orbit_representatives(factors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        factors = as_ints(factors, "factors")
-        check_cap(math.prod(factors), MAX_VERTICES, "group order")
-        return _difference_orbits(factors)[1]
+        return _difference_orbits(as_factors(factors, MAX_VERTICES))[1]
 
     @classmethod
     def sequential(cls, factors: Sequence[int]) -> "DistanceAssignment":
@@ -204,7 +197,7 @@ def product_matrix(
     index = 0
     for n, x in zip(fac.factors, np.indices(fac.factors).reshape(len(fac.factors), -1)):
         index = index * n + (x - x[:, None]) % n
-    return DistanceMatrix.from_rows([[values[i] for i in row] for row in index.tolist()])
+    return _matrix(values, index.tolist())
 
 
 def cyclic_shift_generators(
@@ -224,9 +217,7 @@ def bell(m: int) -> int:
     """Number of partitions of an m element set, read off the Bell triangle:
     each row starts with the last entry of the row before and adds that
     row's entries in turn, and row m starts with bell(m)."""
-    (m,) = as_ints((m,), "m")
-    if m < 0:
-        raise DomainError(f"bell numbers are defined for m >= 0, got {m}")
+    (m,) = as_ints((m,), "bell index", low=0)
     check_cap(m, MAX_BELL_M, "bell index")
     row = [1]
     for _ in range(m):
@@ -242,9 +233,7 @@ def _factorizations(r: int) -> tuple[int, Iterator[tuple[int, ...]]]:
     parts <= largest is a divisor d of n with 2 <= d <= largest, followed
     by a factorization of n // d into parts <= d, so each is reached once.
     """
-    (r,) = as_ints((r,), "vertex count")
-    if r < 2:
-        raise DomainError(f"vertex count must be >= 2, got {r}")
+    (r,) = as_ints((r,), "vertex count", low=2)
     check_cap(r, MAX_FAMILY_VERTICES, "vertex count")
     low = [d for d in range(2, math.isqrt(r) + 1) if r % d == 0]
     divisors = sorted({*low, *(r // d for d in low), r})
@@ -373,26 +362,21 @@ def classify_small(
     SearchStats lists; the tree is not walked when no value set exists.
     """
     import numpy as np
-    r, p = as_ints((r, p), "vertex count and degree")
+    (r,) = as_ints((r,), "vertex count")
     cap = max(CANDIDATES_PER_VALUE_SET)
     # odd factors up to the cap settle primality up to it; the cap refuses the rest
     if not (r > 2 and r % 2 and all(r % f for f in range(3, min(r, cap + 1), 2))):
         raise DomainError(f"classification needs an odd prime vertex count, got {r}")
     check_cap(r, cap, "classification vertex count")
-    if p < 1:
-        raise DomainError(f"degree must be >= 1, got {p}")
+    (p,) = as_ints((p,), "degree", low=1)
     if alphabet is None:
         if max_distance is None:
             raise DomainError("either max_distance or alphabet is required")
-        alpha = range(1, as_ints((max_distance,), "max_distance")[0] + 1)
-        if not alpha:
-            raise DomainError(f"max_distance must be >= 1, got {max_distance}")
+        alpha = range(1, as_ints((max_distance,), "max_distance", 1, p)[0] + 1)
     else:
-        alpha = tuple(sorted(set(as_ints(alphabet, "alphabet"))))
-        if not alpha or alpha[0] < 1:
-            raise DomainError(f"alphabet must contain integers >= 1, got {alpha}")
-    if alpha[-1] > p:
-        raise DomainError(f"distances up to {alpha[-1]} cannot occur in degree p={p}")
+        alpha = tuple(sorted(set(as_ints(alphabet, "alphabet", 1, p))))
+        if not alpha:
+            raise DomainError("alphabet must not be empty")
     q = (r - 1) // 2
     expected = math.comb(len(alpha), q) * CANDIDATES_PER_VALUE_SET[r]
     check_cap(expected, MAX_CANDIDATES, "candidate count")
@@ -419,7 +403,8 @@ def classify_small(
     perms = itertools.permutations(range(1, q + 1))
     targets = [(perm, circulant_matrix(q, perm)) for perm in perms]
     found = []  # the catalog over the ranks 1..q
-    for cand in map(DistanceMatrix.from_rows, full.tolist()):
+    for rows in full.tolist():  # symmetric, 0 on the diagonal only
+        cand = unchecked(DistanceMatrix, r=r, entries=tuple(map(tuple, rows)))
         for perm, target in targets:
             wit = find_relabeling(cand, target)
             if wit is not None:
@@ -435,7 +420,7 @@ def classify_small(
         for cand, perm, wit in found:
             matrix = cand
             if renamed:
-                matrix = DistanceMatrix.from_rows([[name[x] for x in row] for row in cand.entries])
+                matrix = _matrix(name, cand.entries)
             dist = None if perm is None else tuple(name[k] for k in perm)
             entries.append(CatalogEntry(matrix=matrix, distances=dist, witness=wit))
     entries.sort(key=lambda e: e.matrix.entries)  # upper triangles in lexicographic order

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, as_ints, as_permutation, check_cap
+from .errors import (DomainError, as_ints, as_permutation, as_signs, as_subset, check_cap,
+                     malformed, unchecked)
 
 # Above this dimension a full orbit minimisation is refused by default.
 DEFAULT_CANON_DIMENSION_CAP = 10
@@ -44,14 +45,7 @@ class OrientedSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = as_ints(self.indices, "indices")
-        object.__setattr__(self, "indices", idx)
-        if not idx:
-            raise DomainError("oriented subset must be nonempty")
-        if idx[0] < 1:
-            raise DomainError(f"indices must be >= 1, got {idx}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise DomainError(f"indices must be strictly increasing, got {idx}")
+        object.__setattr__(self, "indices", as_subset(self.indices, "indices"))
 
     @property
     def degree(self) -> int:
@@ -97,20 +91,15 @@ class SpecialForm:
     terms: tuple[tuple[OrientedSubset, int], ...]
 
     def __post_init__(self) -> None:
-        d, p = as_ints((self.d, self.p), "dimension and degree")
+        (d,) = as_ints((self.d,), "dimension", low=1)
+        (p,) = as_ints((self.p,), "degree", 1, d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "p", p)
-        if d < 1:
-            raise DomainError(f"dimension must be >= 1, got {d}")
-        if not 1 <= p <= d:
-            raise DomainError(f"degree must lie in [1, {d}], got {p}")
+        signs = as_signs((sign for _, sign in self.terms), "signs")
         norm = []
-        for subset, sign in self.terms:
+        for (subset, _), sign in zip(self.terms, signs):
             if not isinstance(subset, OrientedSubset):
                 subset = OrientedSubset(tuple(subset))
-            (sign,) = as_ints((sign,), "signs")
-            if sign not in (1, -1):
-                raise DomainError(f"signs must be +1 or -1, got {sign!r}")
             if subset.degree != p:
                 raise DomainError(f"term {subset} does not have degree {p}")
             if subset.indices[-1] > d:
@@ -158,11 +147,9 @@ class SpecialForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpecialForm":
-        try:
+        with malformed("form object"):
             terms = [(tuple(t["indices"]), t["sign"]) for t in data["terms"]]
             return cls.from_terms(data["d"], data["p"], terms)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed form object: {exc}") from exc
 
     def __str__(self) -> str:
         if not self.terms:
@@ -182,12 +169,9 @@ def component(form: SpecialForm, indices: Sequence[int]) -> int:
     Repeated indices give 0; otherwise the stored sign at the sorted tuple,
     times the parity of the permutation that sorts the input.
     """
-    idx = as_ints(indices, "indices")
+    idx = as_ints(indices, "indices", 1, form.d)
     if len(idx) != form.p:
         raise DomainError(f"expected {form.p} indices, got {len(idx)}")
-    for i in idx:
-        if not 1 <= i <= form.d:
-            raise DomainError(f"index {i} outside [1, {form.d}]")
     if len(set(idx)) != len(idx):
         return 0
     key, parity = _sorted_with_parity(idx)
@@ -207,15 +191,13 @@ class SignedPermutation:
     eta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sigma = as_permutation(self.sigma, len(self.sigma), "permutation images")
-        eta = as_ints(self.eta, "axis flips")
+        (d,) = as_ints((len(self.sigma),), "dimension", low=1)
+        sigma = as_permutation(self.sigma, d, "permutation images")
+        eta = as_signs(self.eta, "axis flips")
+        if len(eta) != d:
+            raise DomainError(f"expected {d} axis flips, got {len(eta)}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "eta", eta)
-        d = len(sigma)
-        if d < 1:
-            raise DomainError("permutation on an empty index set")
-        if len(eta) != d or any(e not in (1, -1) for e in eta):
-            raise DomainError("eta must assign +1 or -1 to each of the d axes")
 
     @property
     def d(self) -> int:
@@ -266,8 +248,10 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
         flips = 1
         for i in pre:
             flips *= g.eta[i - 1]
-        new_terms.append((OrientedSubset(pre), sign * par * flips))
-    return SpecialForm(form.d, form.p, tuple(new_terms))
+        new_terms.append((pre, sign * par * flips))
+    new_terms.sort()  # the preimages are distinct, so no sign is compared
+    terms = tuple((unchecked(OrientedSubset, indices=pre), s) for pre, s in new_terms)
+    return unchecked(SpecialForm, d=form.d, p=form.p, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +650,10 @@ def canonicalize(
     rows, base, maps = _labeling(form, SearchStats() if stats is None else stats)
     sig = _least_signature(rows, base, maps)
     terms = tuple(
-        (OrientedSubset(row), -1 if (sig >> (w - 1 - t)) & 1 else 1)
+        (unchecked(OrientedSubset, indices=row), -1 if (sig >> (w - 1 - t)) & 1 else 1)
         for t, row in enumerate(rows)
     )
-    return SpecialForm(form.d, form.p, terms)
+    return unchecked(SpecialForm, d=form.d, p=form.p, terms=terms)
 
 
 def orbit_equivalent(

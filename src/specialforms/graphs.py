@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, PreconditionError, as_ints, check_cap
+from .errors import DomainError, PreconditionError, as_ints, check_cap, malformed, unchecked
 from .forms import SearchStats, SpecialForm
 
 # symmetries, is_democratic and find_relabeling refuse more vertices than this.
@@ -36,18 +36,16 @@ class DistanceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        (r,) = as_ints((self.r,), "vertex count")
+        (r,) = as_ints((self.r,), "vertex count", low=1)
         ent = tuple(as_ints(row, "matrix entries") for row in self.entries)
+        if len(ent) != r or any(len(row) != r for row in ent):
+            raise DomainError(f"entries are not a {r} x {r} matrix")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", ent)
-        if self.r < 1:
-            raise DomainError(f"vertex count must be >= 1, got {self.r}")
-        if len(ent) != self.r or any(len(row) != self.r for row in ent):
-            raise DomainError(f"entries are not a {self.r} x {self.r} matrix")
-        for i in range(self.r):
+        for i in range(r):
             if ent[i][i] != 0:
                 raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be 0")
-            for j in range(i + 1, self.r):
+            for j in range(i + 1, r):
                 if ent[i][j] != ent[j][i]:
                     raise DomainError(f"entries ({i + 1},{j + 1}) break symmetry")
                 if ent[i][j] < 1:
@@ -70,10 +68,8 @@ class DistanceMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistanceMatrix":
-        try:
+        with malformed("matrix object"):
             return cls(data["r"], tuple(data["entries"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed matrix object: {exc}") from exc
 
 
 def graph_of_form(form: SpecialForm) -> DistanceMatrix:
@@ -87,7 +83,8 @@ def graph_of_form(form: SpecialForm) -> DistanceMatrix:
         for j in range(i + 1, r):
             dist = subsets[i].distance_to(subsets[j])
             rows[i][j] = rows[j][i] = dist
-    return DistanceMatrix.from_rows(rows)
+    # distinct terms of one degree lie at distance >= 1
+    return unchecked(DistanceMatrix, r=r, entries=tuple(map(tuple, rows)))
 
 
 def is_admissible(m: DistanceMatrix) -> bool:

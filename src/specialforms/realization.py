@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, PreconditionError, as_ints, as_permutation, check_cap
+from .errors import (DomainError, PreconditionError, as_ints, as_permutation, as_subset,
+                     check_cap, malformed, unchecked)
 from .forms import OrientedSubset, SearchStats, SpecialForm, flip_basis
 from .graphs import DistanceMatrix, is_admissible
 
@@ -42,25 +43,16 @@ class GraphFunction:
     values: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
-        r, p = as_ints((self.r, self.p), "vertex count and degree")
+        (r,) = as_ints((self.r,), "vertex count", low=1)
+        (p,) = as_ints((self.p,), "degree", low=1)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
-        if r < 1:
-            raise DomainError(f"vertex count must be >= 1, got {r}")
-        if p < 1:
-            raise DomainError(f"degree must be >= 1, got {p}")
         norm = []
-        for subset, val in self.values:
-            subset = as_ints(subset, "subset vertices")
-            (val,) = as_ints((val,), "weights")
-            if val < 0:
-                raise DomainError(f"negative weight {val} on {subset}")
-            if not subset or len(subset) >= self.r:
-                raise DomainError(f"subset {subset} is not proper and nonempty")
-            if any(a >= b for a, b in zip(subset, subset[1:])):
-                raise DomainError(f"subset {subset} is not strictly increasing")
-            if subset[0] < 1 or subset[-1] > self.r:
-                raise DomainError(f"subset {subset} outside the vertex range")
+        weights = as_ints((val for _, val in self.values), "weights", low=0)
+        for (subset, _), val in zip(self.values, weights):
+            subset = as_subset(subset, "subset vertices", r)
+            if len(subset) == r:
+                raise DomainError(f"subset {subset} is not proper")
             if val > 0:
                 norm.append((subset, val))
         norm.sort()
@@ -75,11 +67,7 @@ class GraphFunction:
         return sum(v for _, v in self.values)
 
     def value(self, subset: Iterable[int]) -> int:
-        key = tuple(sorted(as_ints(subset, "subset vertices")))
-        for s, v in self.values:
-            if s == key:
-                return v
-        return 0
+        return dict(self.values).get(tuple(sorted(as_ints(subset, "subset vertices"))), 0)
 
     def vertex_sums(self) -> tuple[int, ...]:
         sums = [0] * self.r
@@ -130,13 +118,11 @@ class GraphFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraphFunction":
-        try:
+        with malformed("graph function object"):
             values = tuple(
                 (tuple(entry["subset"]), entry["f"]) for entry in data["values"]
             )
             return cls(data["r"], data["p"], values)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed graph function object: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=16)
@@ -204,13 +190,9 @@ def solve(
     Solutions are sorted by their values.  When `stats` is given, the
     search adds its node, leaf, prune and solution counts to it.
     """
-    (p,) = as_ints((p,), "degree")
-    if p < 1:
-        raise DomainError(f"degree must be >= 1, got {p}")
+    (p,) = as_ints((p,), "degree", low=1)
     if d_filter is not None:
-        (d_filter,) = as_ints((d_filter,), "dimension filter")
-        if d_filter < 0:
-            raise DomainError("dimension filter must be non-negative")
+        (d_filter,) = as_ints((d_filter,), "dimension filter", low=0)
     check_cap(m.r, vertex_cap, "solver vertex count")
     if not is_admissible(m):
         raise PreconditionError("matrix is not admissible")
@@ -258,10 +240,9 @@ def solve(
         entries = chosen + forced
         if d_filter is not None and sum(c for _, c in entries) != d_filter:
             return
-        values = tuple(
-            (tuple(v + 1 for v in subset), c) for subset, c in entries
-        )
-        solutions.append(GraphFunction(r, p, values))
+        # weights are positive: a weight-0 choice is never in `chosen`
+        values = sorted((tuple(v + 1 for v in subset), c) for subset, c in entries)
+        solutions.append(unchecked(GraphFunction, r=r, p=p, values=tuple(values)))
 
     def descend(k: int) -> None:
         nonlocal nodes, leaves, pruned
@@ -325,7 +306,7 @@ class Realization:
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        r, p, d = as_ints((self.r, self.p, self.d), "r, p and d")
+        r, p, d = as_ints((self.r, self.p, self.d), "r, p and d", low=1)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
@@ -345,7 +326,7 @@ class Realization:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Realization":
-        try:
+        with malformed("realization object"):
             return cls(
                 data["r"],
                 data["p"],
@@ -359,8 +340,6 @@ class Realization:
                     for b in data["blocks"]
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed realization object: {exc}") from exc
 
 
 def realize(f: GraphFunction) -> Realization:
@@ -380,11 +359,10 @@ def realize(f: GraphFunction) -> Realization:
         blocks.append((subset, idx))
         for v in subset:
             covered[v].extend(idx)
-    d = next_index - 1
-    subsets = tuple(OrientedSubset(tuple(sorted(covered[v]))) for v in covered)
-    return Realization(
-        r=f.r, p=f.p, d=d, subsets=subsets, blocks=tuple(blocks)
-    )
+    # blocks come in increasing index order, and check() gives each vertex p >= 1
+    subsets = tuple(unchecked(OrientedSubset, indices=tuple(c)) for c in covered.values())
+    return unchecked(Realization, r=f.r, p=f.p, d=next_index - 1, subsets=subsets,
+                     blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -460,23 +438,22 @@ def forms_of(real: Realization) -> list[SpecialForm]:
     which is sign-lexicographic order; the first term always carries +1.
     More than 2**DEFAULT_SIGN_CLASS_BIT_CAP classes are refused.
     """
-    order = sorted(range(real.r), key=lambda v: real.subsets[v].indices)
-    w = real.r
+    first = SpecialForm(real.d, real.p, tuple((s, 1) for s in real.subsets))
+    support = first.support  # the subsets in term order
+    w = len(support)
     free = (1 << w) - 1
-    for piv, _ in flip_basis([real.subsets[v].indices for v in order]):
+    for piv, _ in flip_basis([s.indices for s in support]):
         free ^= 1 << piv
     check_cap(free.bit_count(), DEFAULT_SIGN_CLASS_BIT_CAP, "sign class bit count")
-    forms = []
-    eps = 0
-    while True:  # every pattern within `free`, ascending
+    forms = [first]
+    eps = free & -free  # every pattern within `free`, ascending
+    while eps:
         terms = tuple(
-            (real.subsets[v], -1 if (eps >> (w - 1 - pos)) & 1 else 1)
-            for pos, v in enumerate(order)
+            (s, -1 if (eps >> (w - 1 - pos)) & 1 else 1) for pos, s in enumerate(support)
         )
-        forms.append(SpecialForm(real.d, real.p, terms))
-        if eps == free:
-            return forms
+        forms.append(unchecked(SpecialForm, d=first.d, p=first.p, terms=terms))
         eps = (eps - free) & free
+    return forms
 
 
 def lift_symmetry(f: GraphFunction, sigma: Sequence[int]) -> tuple[int, ...]:

@@ -43,6 +43,8 @@ def test_frame_validation():
         Frame.coordinate(3, [1.7, 2.2])  # would silently use axes 1 and 2
     with pytest.raises(DomainError):
         Frame.coordinate(4.0, (2, 3))
+    with pytest.raises(DomainError):
+        Frame.coordinate(-1, ())  # numpy's eye raised a bare ValueError
     g = Frame.coordinate(np.int64(4), np.array([2, 3]))
     assert np.array_equal(g.vectors, f.vectors)
     with pytest.raises(ValueError):

@@ -228,6 +228,15 @@ def test_distance_assignment_validation():
         DistanceAssignment((5,), (((1,), 1),))  # orbit (2,) missing
     with pytest.raises(DomainError):
         DistanceAssignment.from_sequence((5,), (1, 0))
+    # factors below 2 are refused as Factorization refuses them
+    for build in (
+        lambda: DistanceAssignment((0,), ()),
+        lambda: DistanceAssignment((3, 0), ()),
+        lambda: DistanceAssignment.sequential((1,)),
+        lambda: DistanceAssignment.orbit_representatives((2, -2)),
+    ):
+        with pytest.raises(DomainError, match="factors must be >= 2"):
+            build()
     with pytest.raises(DomainError):
         Factorization((4, 1))
     with pytest.raises(DomainError):

@@ -323,6 +323,8 @@ def test_realization_reads_r_p_and_d_as_integers():
         Realization(1.5, "x", None, (), ())
     with pytest.raises(DomainError):
         Realization(2, 1, 2.0, (), ())
+    with pytest.raises(DomainError):
+        Realization(0, 0, 0, (), ())
     one = np.int64(1)
     real = Realization(one, one, one, (OrientedSubset((1,)),), ())
     assert (real.r, real.p, real.d) == (1, 1, 1) and type(real.d) is int
@@ -469,6 +471,21 @@ def test_forms_of_class_cap(monkeypatch):
     monkeypatch.setattr(realization, "DEFAULT_SIGN_CLASS_BIT_CAP", 0)
     with pytest.raises(CapacityError):
         forms_of(real)
+
+
+def test_induced_matrix_refuses_a_distance_of_zero():
+    f = GraphFunction(3, 1, (((1, 2), 1), ((3,), 1)))
+    f.check()  # every vertex sum is p
+    with pytest.raises(DomainError, match=r"off-diagonal entry \(1,2\) must be >= 1"):
+        f.induced_matrix()
+
+
+def test_forms_of_refuses_what_the_realization_does_not_check():
+    e12 = OrientedSubset((1, 2))
+    with pytest.raises(DomainError, match="duplicate term e12"):
+        forms_of(Realization(2, 2, 2, (e12, e12), ()))
+    with pytest.raises(DomainError, match="degree"):
+        forms_of(Realization(1, 3, 2, (e12,), ()))
 
 
 def test_lift_symmetry_pentagon_rotation():
