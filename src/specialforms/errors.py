@@ -113,7 +113,8 @@ def check_cap(size: int, cap: int, what: str) -> None:
 @contextlib.contextmanager
 def malformed(what: str):
     """Raise DomainError("malformed <what>: ...") for a missing key or a value
-    of the wrong shape met in the block, which reads a `from_dict` input."""
+    of the wrong shape met in the block, which reads a `from_dict` input or
+    the nested fields of a constructor."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:

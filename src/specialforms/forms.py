@@ -242,9 +242,8 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
         inv[img] = i
     new_terms = []
     for subset, sign in form.terms:
-        pre = tuple(sorted(inv[mu] for mu in subset.indices))
-        # parity of (sigma(t_1), .., sigma(t_p)) against ascending order
-        _, par = _sorted_with_parity([g.sigma[i - 1] for i in pre])
+        # sorting the preimages has the parity of sorting (sigma(t_1), .., sigma(t_p))
+        pre, par = _sorted_with_parity([inv[mu] for mu in subset.indices])
         flips = 1
         for i in pre:
             flips *= g.eta[i - 1]

@@ -72,19 +72,20 @@ class DistanceMatrix:
             return cls(data["r"], tuple(data["entries"]))
 
 
+def _distance_rows(p: int, subsets) -> _Rows:
+    """Rows of p - #(s_i & s_j) over the index subsets, each read as a set once.
+    The diagonal entry p - #s_i is 0 when s_i has size p."""
+    sets = [set(s) for s in subsets]
+    return tuple([tuple([p - len(a & b) for b in sets]) for a in sets])
+
+
 def graph_of_form(form: SpecialForm) -> DistanceMatrix:
     """Pairwise subset distances of the terms, in term order."""
     if form.weight == 0:
         raise DomainError("the graph of a form needs at least one term")
-    subsets = form.support
-    r = len(subsets)
-    rows = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            dist = subsets[i].distance_to(subsets[j])
-            rows[i][j] = rows[j][i] = dist
     # distinct terms of one degree lie at distance >= 1
-    return unchecked(DistanceMatrix, r=r, entries=tuple(map(tuple, rows)))
+    return unchecked(DistanceMatrix, r=form.weight,
+                     entries=_distance_rows(form.p, form.support))
 
 
 def is_admissible(m: DistanceMatrix) -> bool:
@@ -220,14 +221,11 @@ def is_predemocratic(m: DistanceMatrix) -> tuple[bool, Optional[dict[int, int]]]
     Returns (flag, counts); counts maps each distance a to the number n_a
     of times it occurs in a row, and is None when the flag is False.
     """
-    counts = []
-    for i in range(m.r):
-        row = Counter(m.entries[i][j] for j in range(m.r) if j != i)
-        counts.append(row)
-    if any(c != counts[0] for c in counts[1:]):
+    # each sorted row starts with its diagonal 0, so equal profiles mean equal counts
+    first, *rest = _row_profiles(m.entries)
+    if any(prof != first for prof in rest):
         return False, None
-    common = dict(sorted(counts[0].items()))
-    return True, common
+    return True, dict(Counter(first[1:]))  # counted in ascending order
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (DomainError, PreconditionError, as_ints, as_permutation, as_subset,
                      check_cap, malformed, unchecked)
 from .forms import OrientedSubset, SearchStats, SpecialForm, flip_basis
-from .graphs import DistanceMatrix, is_admissible
+from .graphs import DistanceMatrix, _distance_rows, is_admissible
 
 # Exhaustive weight-function search is refused above this vertex count.
 DEFAULT_SOLVER_VERTEX_CAP = 8
@@ -98,16 +98,9 @@ class GraphFunction:
             )
 
     def induced_matrix(self) -> DistanceMatrix:
-        """Distances p - sum of weights over subsets containing both vertices."""
-        self.check()
-        rows = [[0] * self.r for _ in range(self.r)]
-        for i in range(self.r):
-            for j in range(i + 1, self.r):
-                shared = sum(
-                    val for s, val in self.values if i + 1 in s and j + 1 in s
-                )
-                rows[i][j] = rows[j][i] = self.p - shared
-        return DistanceMatrix.from_rows(rows)
+        """Distances p - sum of weights over subsets containing both vertices,
+        read off the realisation; `realize` runs `check` first."""
+        return DistanceMatrix.from_rows(_distance_rows(self.p, realize(self).subsets))
 
     def to_dict(self) -> dict:
         return {
@@ -196,10 +189,7 @@ def solve(
     check_cap(m.r, vertex_cap, "solver vertex count")
     if not is_admissible(m):
         raise PreconditionError("matrix is not admissible")
-    worst = max(
-        (m.entries[i][j] for i in range(m.r) for j in range(i + 1, m.r)),
-        default=0,
-    )
+    worst = max(m.distances(), default=0)
     if worst > p:
         raise PreconditionError(f"matrix distance {worst} exceeds the degree {p}")
 
@@ -297,6 +287,8 @@ class Realization:
     `blocks` records which consecutive index block realises each weighted
     subset: pairs (vertex subset, index tuple); the blocks partition 1..d.
     `subsets[v-1]` is s_v, the union of the blocks whose subset contains v.
+    Subsets may be given as index tuples, and blocks are read as pairs of
+    int tuples; sizes and coverage are left to `verify`.
     """
 
     r: int
@@ -307,11 +299,22 @@ class Realization:
 
     def __post_init__(self) -> None:
         r, p, d = as_ints((self.r, self.p, self.d), "r, p and d", low=1)
+        with malformed("realization object"):
+            subsets = tuple(
+                s if isinstance(s, OrientedSubset) else OrientedSubset(tuple(s))
+                for s in self.subsets
+            )
+            blocks = tuple(
+                (as_ints(verts, "block vertices"), as_ints(idx, "block indices"))
+                for verts, idx in self.blocks
+            )
+        if len(subsets) != r:
+            raise DomainError(f"{len(subsets)} subsets for {r} vertices")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
-        if len(self.subsets) != r:
-            raise DomainError(f"{len(self.subsets)} subsets for {r} vertices")
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "blocks", blocks)
 
     def to_dict(self) -> dict:
         return {
@@ -327,19 +330,8 @@ class Realization:
     @classmethod
     def from_dict(cls, data: dict) -> "Realization":
         with malformed("realization object"):
-            return cls(
-                data["r"],
-                data["p"],
-                data["d"],
-                tuple(OrientedSubset(tuple(s)) for s in data["subsets"]),
-                tuple(
-                    (
-                        as_ints(b["subset"], "block vertices"),
-                        as_ints(b["indices"], "block indices"),
-                    )
-                    for b in data["blocks"]
-                ),
-            )
+            blocks = tuple((b["subset"], b["indices"]) for b in data["blocks"])
+            return cls(data["r"], data["p"], data["d"], tuple(data["subsets"]), blocks)
 
 
 def realize(f: GraphFunction) -> Realization:
@@ -376,30 +368,24 @@ class VerificationReport:
 
 def verify(real: Realization, m: DistanceMatrix) -> VerificationReport:
     """Check a realisation against a matrix, reporting each violation."""
-    failures = []
     if real.r != m.r:
-        failures.append(f"vertex count {real.r} != matrix size {m.r}")
-        return VerificationReport(False, tuple(failures))
-    for s in real.subsets:
-        if s.degree != real.p:
-            failures.append(f"subset {s} does not have size {real.p}")
+        return VerificationReport(False, (f"vertex count {real.r} != matrix size {m.r}",))
+    failures = [
+        f"subset {s} does not have size {real.p}" for s in real.subsets if s.degree != real.p
+    ]
+    got = _distance_rows(real.p, real.subsets)
     for i in range(real.r):
         for j in range(i + 1, real.r):
-            got = real.subsets[i].distance_to(real.subsets[j])
-            want = m.entries[i][j]
-            if got != want:
+            if got[i][j] != m.entries[i][j]:
                 failures.append(
-                    f"distance(v{i + 1}, v{j + 1}) = {got}, expected {want}"
+                    f"distance(v{i + 1}, v{j + 1}) = {got[i][j]}, expected {m.entries[i][j]}"
                 )
     union = set().union(*(s.indices for s in real.subsets))
     if union != set(range(1, real.d + 1)):
         failures.append(f"subsets cover {sorted(union)}, not 1..{real.d}")
-    counts = Counter()
-    for subset, idx in real.blocks:
-        for i in idx:
-            counts[i] += 1
-    if any(c > 1 for c in counts.values()):
-        dup = sorted(i for i, c in counts.items() if c > 1)
+    counts = Counter(i for _, idx in real.blocks for i in idx)
+    dup = sorted(i for i, c in counts.items() if c > 1)
+    if dup:
         failures.append(f"blocks overlap at indices {dup}")
     return VerificationReport(not failures, tuple(failures))
 

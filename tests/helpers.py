@@ -356,3 +356,29 @@ def brute_classify(r: int, alphabet) -> tuple[int, list[DistanceMatrix]]:
         if {perm[0] for perm in brute_automorphisms(m)} == set(range(1, r + 1)):
             democratic.append(m)
     return count, democratic
+
+
+# ---------------------------------------------------------------------------
+# Weight sums and row counts (oracles for induced_matrix and is_predemocratic).
+# ---------------------------------------------------------------------------
+
+
+def weight_sum_matrix(f) -> list[list[int]]:
+    """Rows of p minus the total weight of the subsets that hold both
+    vertices, pair by pair, with a zero diagonal."""
+    return [
+        [0 if v == w else f.p - sum(c for s, c in f.values if v in s and w in s)
+         for w in range(1, f.r + 1)]
+        for v in range(1, f.r + 1)
+    ]
+
+
+def counter_predemocratic(m: DistanceMatrix):
+    """(flag, counts) as is_predemocratic defines them, from one Counter of
+    the off-diagonal entries per row."""
+    counts = [
+        Counter(x for j, x in enumerate(row) if j != i) for i, row in enumerate(m.entries)
+    ]
+    if any(c != counts[0] for c in counts):
+        return False, None
+    return True, dict(sorted(counts[0].items()))

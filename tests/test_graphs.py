@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_automorphisms, cayley_form, fano_matrix
+from helpers import (brute_automorphisms, cayley_form, counter_predemocratic, fano_matrix,
+                     random_form)
 from specialforms import (
     CapacityError,
     DomainError,
@@ -22,6 +24,7 @@ from specialforms import (
     is_admissible,
     is_democratic,
     is_predemocratic,
+    subset_distance,
     symmetries,
     to_dot,
 )
@@ -303,6 +306,37 @@ def test_predemocratic_without_democracy():
     flag, counts = is_predemocratic(m)
     assert flag and all(n == 1 for n in counts.values())
     assert not is_democratic(m)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices with r <= 6 and values <= 3: circulants, whose rows
+    all hold the same values, or free upper triangles, which mostly do not."""
+    r = draw(st.integers(1, 6))
+    rows = [[0] * r for _ in range(r)]
+    circulant = draw(st.booleans())
+    dist = draw(st.lists(st.integers(1, 3), min_size=r // 2, max_size=r // 2))
+    for i, j in itertools.combinations(range(r), 2):
+        rows[i][j] = rows[j][i] = (
+            dist[min(j - i, r - j + i) - 1] if circulant else draw(st.integers(1, 3))
+        )
+    return DistanceMatrix.from_rows(rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=symmetric_matrices())
+def test_predemocratic_agrees_with_row_counters(m):
+    assert is_predemocratic(m) == counter_predemocratic(m)
+
+
+def test_graph_of_form_agrees_with_subset_distance():
+    rng = random.Random(2011)
+    for _ in range(200):
+        form = random_form(rng, d_max=7, w_max=8)
+        support = form.support
+        assert graph_of_form(form).entries == tuple(
+            tuple(subset_distance(s, t) for t in support) for s in support
+        )
 
 
 def test_curve_decomposition_pentagon():

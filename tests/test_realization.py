@@ -6,12 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_admissible_matrices,
     fano_matrix,
     graph_function_invariant,
     oracle_solve,
+    weight_sum_matrix,
 )
 from specialforms import (
     CapacityError,
@@ -368,6 +370,66 @@ def test_verify_reports_failures():
     rep = verify(oversized, m)
     assert not rep.ok
     assert any("does not have size 3" in x for x in rep.failures)
+
+
+def test_verify_reports_subsets_of_unequal_size():
+    real = Realization(2, 2, 3, tuple(map(OrientedSubset, ((1, 2), (1, 2, 3)))), ())
+    rep = verify(real, DistanceMatrix.from_rows([[0, 1], [1, 0]]))
+    assert not rep.ok
+    assert rep.failures == (
+        "subset e123 does not have size 2",
+        "distance(v1, v2) = 0, expected 1",
+    )
+
+
+def test_realization_reads_its_subsets_and_blocks():
+    real = Realization(2, 2, 4, ((1, 2), (3, 4)), ([[1], [1, 2]],))
+    assert real.subsets == (OrientedSubset((1, 2)), OrientedSubset((3, 4)))
+    assert real.blocks == (((1,), (1, 2)),)
+    assert real.to_dict()["subsets"] == [[1, 2], [3, 4]]
+    e12, e34 = OrientedSubset((1, 2)), OrientedSubset((3, 4))
+    with pytest.raises(DomainError):
+        Realization(2, 2, 4, (e12, e34), ((1, 2),))
+    with pytest.raises(DomainError):
+        Realization(2, 2, 4, (e12, e34), (((1,), "ab"),))
+    with pytest.raises(DomainError):
+        Realization(2, 2, 4, (e12, (2, 1)), ())
+
+
+@st.composite
+def covering_functions(draw):
+    """Weight functions whose vertex sums are all p: weights on proper
+    subsets of two or more vertices, with singletons filling each vertex
+    up to p."""
+    r = draw(st.integers(2, 5))
+    multi = [s for k in range(2, r) for s in itertools.combinations(range(1, r + 1), k)]
+    chosen = draw(st.lists(st.sampled_from(multi), max_size=5, unique=True)) if multi else []
+    values = [(s, draw(st.integers(1, 3))) for s in chosen]
+    sums = [sum(c for s, c in values if v in s) for v in range(1, r + 1)]
+    p = max(1, max(sums) + draw(st.integers(0, 2)))
+    values += [((v,), p - sv) for v, sv in enumerate(sums, 1) if sv < p]
+    return GraphFunction(r, p, tuple(values))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(f=covering_functions(), data=st.data())
+def test_induced_matrix_and_verify_agree_with_the_weight_sums(f, data):
+    want = weight_sum_matrix(f)
+    induced = None
+    if any(want[i][j] < 1 for i in range(f.r) for j in range(i)):
+        with pytest.raises(DomainError):
+            f.induced_matrix()
+    else:
+        induced = f.induced_matrix()
+        assert [list(row) for row in induced.entries] == want
+    if induced is not None and data.draw(st.booleans()):
+        m = induced
+    else:
+        rows = [[0] * f.r for _ in range(f.r)]
+        for i, j in itertools.combinations(range(f.r), 2):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(1, f.p))
+        m = DistanceMatrix.from_rows(rows)
+    assert verify(realize(f), m).ok == (induced == m)
 
 
 def _relabel_indices(real: Realization, perm: dict[int, int]) -> Realization:
