@@ -17,7 +17,8 @@ plan of row subsets built once per call; the gradient is its adjoint.  The
 starts run in blocks whose plan working set, 4 floats per subset row of
 every level, holds at most BLOCK_FLOATS floats.  Every sum adds in an order
 fixed by the plan, so a start's result does not depend on its block.  More
-than MAX_RESTARTS restarts are refused before any work.
+than MAX_RESTARTS restarts, and forms of more than
+forms.DEFAULT_CANON_DIMENSION_CAP dimensions, are refused before any work.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, PreconditionError, as_ints, check_cap, malformed
-from .forms import SpecialForm
+from .forms import DEFAULT_CANON_DIMENSION_CAP, SpecialForm
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
@@ -299,6 +300,7 @@ def comass(
 
     Deterministic for a fixed seed.  Among the starts within TIE_TOL of the
     maximum, the lexicographically smallest rounded frame is reported."""
+    check_cap(form.d, DEFAULT_CANON_DIMENSION_CAP, "comass dimension")
     import numpy as np
     (restarts,) = as_ints((restarts,), "restart count", low=0)
     check_cap(restarts, MAX_RESTARTS, "restart count")

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import democratic as dem
-from .calibration import comass
+from .calibration import DEFAULT_RESTARTS, DEFAULT_TOL, comass
 from .config import RunConfig, load_config
 from .errors import CapacityError, DomainError, PreconditionError, as_permutation
 from .forms import SearchStats, SpecialForm, canonicalize
@@ -107,8 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="specialforms",
         description="Sign-valued p-forms, their distance graphs, and realisations.",
     )
-    parser.add_argument("--config", help="key=value settings file")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
+    parser.add_argument("--config", help="key=value file of size caps")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the random comass starts (default 0)")
     parser.add_argument("-o", "--output", help="write the result here instead of stdout")
     parser.add_argument("--stats", action="store_true",
                         help="print the work counters as one JSON line on stderr")
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="distance matrix of a form")
     p_graph.add_argument("form", help="form JSON file")
-    p_graph.add_argument("--format", choices=("json", "dot"), default=None)
+    p_graph.add_argument("--format", choices=("json", "dot"), default="json")
 
     p_real = sub.add_parser("realize", help="solve a distance matrix for realisations")
     p_real.add_argument("matrix", help="matrix JSON file")
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="difference construction over Z_{r1} x ... (comma list)")
     p_mat.add_argument("distances", nargs="?", default=None,
                        help="comma list of distances (defaults to 1, 2, ...)")
-    p_mat.add_argument("--format", choices=("json", "dot"), default=None)
+    p_mat.add_argument("--format", choices=("json", "dot"), default="json")
     p_mat.add_argument("--p", type=int, default=None, dest="p",
                        help="omit distance-p edges from DOT output")
     p_mat.add_argument("--dot", default=None, metavar="PATH",
@@ -166,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="comass search for a form")
     p_cal.add_argument("form", help="form JSON file")
-    p_cal.add_argument("--restarts", type=int, default=None)
-    p_cal.add_argument("--tol", type=float, default=None)
+    p_cal.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    p_cal.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_cal.add_argument("--csv", default=None, metavar="PATH",
                        help="write per-start values here as CSV")
 
@@ -198,7 +199,7 @@ def _cmd_canon(args, cfg: RunConfig, record: dict) -> str:
 def _cmd_graph(args, cfg: RunConfig, record: dict) -> str:
     form = SpecialForm.from_dict(_read_json(args.form))
     m = graph_of_form(form)
-    if (args.format or cfg.format) == "dot":
+    if args.format == "dot":
         return to_dot(m, p=form.p)
     return _dump(m.to_dict())
 
@@ -248,7 +249,7 @@ def _cmd_democratic_matrix(args, cfg: RunConfig, record: dict) -> str:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(m, p=args.p))
-    if (args.format or cfg.format) == "dot":
+    if args.format == "dot":
         return to_dot(m, p=args.p)
     return _dump(m.to_dict())
 
@@ -284,12 +285,7 @@ def _cmd_democratic_classify(args, cfg: RunConfig, record: dict) -> str:
 
 def _cmd_calibrate(args, cfg: RunConfig, record: dict) -> str:
     form = SpecialForm.from_dict(_read_json(args.form))
-    report = comass(
-        form,
-        restarts=args.restarts if args.restarts is not None else cfg.comass_restarts,
-        tol=args.tol if args.tol is not None else cfg.comass_tol,
-        seed=cfg.seed,
-    )
+    report = comass(form, restarts=args.restarts, tol=args.tol, seed=args.seed)
     record.update(
         restarts=report.n_restarts,
         converged=sum(report.converged),
@@ -316,8 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
         text = args.handler(args, cfg, record)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -334,9 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 **record,
                 "seconds": time.perf_counter() - start,
             }), file=sys.stderr)
-    target = args.output or cfg.output
-    if target:
-        with open(target, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -345,3 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,8 +1,8 @@
-"""Run configuration: seed, size caps, tolerances, output selection.
+"""Run configuration: the size caps of the two searches that a deployment tunes.
 
-Settings come from (lowest to highest precedence) the built-in defaults, a
-key=value file named by the SPECIALFORMS_CONFIG environment variable, a file
-passed explicitly, and command line flags.
+Caps come from (lowest to highest precedence) the built-in defaults, a
+key=value file named by the SPECIALFORMS_CONFIG environment variable, and a
+file passed explicitly.  Every per-run value is a command line flag instead.
 """
 
 from __future__ import annotations
@@ -10,34 +10,21 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .calibration import DEFAULT_RESTARTS, DEFAULT_TOL
 from .errors import DomainError, as_ints
 from .forms import DEFAULT_CANON_DIMENSION_CAP
 from .realization import DEFAULT_SOLVER_VERTEX_CAP
 
 ENV_VAR = "SPECIALFORMS_CONFIG"
 
-_FORMATS = ("json", "dot")
-
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     canon_d_cap: int = DEFAULT_CANON_DIMENSION_CAP
     solver_r_cap: int = DEFAULT_SOLVER_VERTEX_CAP
-    comass_tol: float = DEFAULT_TOL
-    comass_restarts: int = DEFAULT_RESTARTS
-    output: str | None = None
-    format: str = "json"
 
     def validate(self) -> None:
-        # comass checks seed, comass_tol and comass_restarts, as it does the flags
-        for name in ("canon_d_cap", "solver_r_cap"):
-            as_ints((getattr(self, name),), name, low=1)
-        if self.format not in _FORMATS:
-            raise DomainError(
-                f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}"
-            )
+        for f in fields(self):
+            as_ints((getattr(self, f.name),), f.name, low=1)
 
 
 def load_config(path: str | None = None, environ=None) -> RunConfig:
@@ -52,9 +39,7 @@ def load_config(path: str | None = None, environ=None) -> RunConfig:
 
 
 def _apply_file(cfg: RunConfig, path: str) -> None:
-    # f.type is the annotation's text, "int" say, as annotations are postponed
-    convert = {f.name: {"int": int, "float": float}.get(f.type, str)
-               for f in fields(RunConfig)}
+    keys = {f.name for f in fields(RunConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -65,9 +50,9 @@ def _apply_file(cfg: RunConfig, path: str) -> None:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in convert:
+            if key not in keys:
                 raise DomainError(f"{path}:{lineno}: unknown setting {key!r}")
             try:
-                setattr(cfg, key, convert[key](value))
+                setattr(cfg, key, int(value))
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc

@@ -372,13 +372,15 @@ def classify_small(
     if alphabet is None:
         if max_distance is None:
             raise DomainError("either max_distance or alphabet is required")
-        alpha = range(1, as_ints((max_distance,), "max_distance", 1, p)[0] + 1)
+        (size,) = as_ints((max_distance,), "max_distance", 1, p)
+        alpha = range(1, size + 1)  # len() of a range overflows above sys.maxsize
     else:
         alpha = tuple(sorted(set(as_ints(alphabet, "alphabet", 1, p))))
         if not alpha:
             raise DomainError("alphabet must not be empty")
+        size = len(alpha)
     q = (r - 1) // 2
-    expected = math.comb(len(alpha), q) * CANDIDATES_PER_VALUE_SET[r]
+    expected = math.comb(size, q) * CANDIDATES_PER_VALUE_SET[r]
     check_cap(expected, MAX_CANDIDATES, "candidate count")
     value_sets = list(itertools.combinations(alpha, q))
     stats = stats or SearchStats()

@@ -88,6 +88,60 @@ def brute_least_support(form: SpecialForm) -> tuple[tuple[int, ...], ...]:
     ))
 
 
+# ---------------------------------------------------------------------------
+# Orbit counts by Burnside's lemma (oracle for canonicalize and
+# orbit_equivalent, with no search).
+#
+# A signed permutation g = (sigma, eta) of B_d permutes the p-subsets, each
+# image carrying the sign of its sorting permutation times the eta of its
+# members.  Along a cycle of g on the subsets let epsilon be the product of
+# those signs: a form that g fixes is 0 on the cycle when epsilon = -1, and
+# one value of {-1, 0, +1} on all of it when epsilon = +1.  So the forms
+# that g fixes have weight enumerator prod over epsilon = +1 cycles of
+# (1 + 2 x^len), and the orbits by weight are the average of these over the
+# 2^d d! elements of B_d (de Bruijn, "Polya's theory of counting", 1964;
+# Harary and Palmer, Graphical Enumeration, 1973).
+# ---------------------------------------------------------------------------
+
+
+def orbit_counts(d: int, p: int) -> list[int]:
+    """The number of B_d orbits of the (d, p) forms of each weight 0..C(d, p)."""
+    subsets = list(itertools.combinations(range(d), p))
+    index = {s: k for k, s in enumerate(subsets)}
+    masks = [sum(1 << i for i in s) for s in subsets]
+    total = [0] * (len(subsets) + 1)
+    for sigma in itertools.permutations(range(d)):
+        step, odd = [], []
+        for s in subsets:
+            image = [sigma[i] for i in s]
+            step.append(index[tuple(sorted(image))])
+            odd.append(sum(a > b for a, b in itertools.combinations(image, 2)) % 2)
+        # a cycle's epsilon under eta is its sorting parity plus the parity of
+        # the eta = -1 axes in the sum mod 2 of its subsets' indicator masks
+        cycles, seen = [], [False] * len(subsets)
+        for k in range(len(subsets)):
+            length, parity, mask = 0, 0, 0
+            while not seen[k]:
+                seen[k] = True
+                length, parity, mask = length + 1, parity ^ odd[k], mask ^ masks[k]
+                k = step[k]
+            if length:
+                cycles.append((length, parity, mask))
+        for flips in range(2**d):  # bit i set: eta_i = -1
+            poly = [1]
+            for length, parity, mask in cycles:
+                if parity ^ (bin(flips & mask).count("1") % 2) == 0:
+                    grown = poly + [0] * length
+                    for i, c in enumerate(poly):
+                        grown[i + length] += 2 * c
+                    poly = grown
+            for i, c in enumerate(poly):
+                total[i] += c
+    order = 2**d * math.factorial(d)
+    assert all(t % order == 0 for t in total)
+    return [t // order for t in total]
+
+
 def random_form(rng, d_max=5, w_max=4) -> SpecialForm:
     d = rng.randint(1, d_max)
     p = rng.randint(1, d)

@@ -21,6 +21,7 @@ from specialforms import (
 )
 from specialforms import calibration
 from specialforms.calibration import MAX_RESTARTS, _lex_smallest
+from specialforms.forms import DEFAULT_CANON_DIMENSION_CAP
 
 
 def form(d, p, *terms):
@@ -408,3 +409,15 @@ def test_restarts_above_the_cap_are_refused_before_any_work():
     with pytest.raises(CapacityError):
         comass(cayley_form(), 10**18)
     assert time.perf_counter() - start < 1.0
+
+
+def test_dimensions_above_the_cap_are_refused_before_any_work():
+    start = time.perf_counter()
+    for d in (DEFAULT_CANON_DIMENSION_CAP + 1, 100_000, 10**40):
+        with pytest.raises(CapacityError, match="comass dimension"):
+            comass(SpecialForm(d, 2, ()), 2)
+    with pytest.raises(CapacityError, match="comass dimension"):
+        comass(form(100_000, 2, ((1, 2), 1)), 2)
+    assert time.perf_counter() - start < 1.0
+    top = DEFAULT_CANON_DIMENSION_CAP
+    assert comass(form(top, 2, ((top - 1, top), 1)), 2).calibrated

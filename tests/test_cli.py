@@ -30,7 +30,7 @@ from specialforms import (
     solve,
 )
 from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL, MAX_RESTARTS
-from specialforms.cli import _dump, main
+from specialforms.cli import _build_parser, _dump, main
 from specialforms.democratic import (
     MAX_BELL_M,
     MAX_FAMILIES,
@@ -230,6 +230,27 @@ def test_growth_paths_above_their_caps_exit_3_at_once(argv, capsys):
     assert out == "" and "exceeds the cap" in err
 
 
+HUGE = 10**40
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", {"d": HUGE, "p": 2, "terms": []}],
+        ["democratic", "classify", "3", "--p", str(HUGE), "--max-distance", str(HUGE)],
+        ["democratic", "classify", "7", "--p", str(HUGE), "--max-distance", str(HUGE)],
+    ],
+    ids=["calibrate d=10**40", "classify 3 p=10**40", "classify 7 p=10**40"],
+)
+def test_huge_inputs_exit_with_an_error_at_once(argv, tmp_path, capsys):
+    argv = [write_json(tmp_path / "in.json", a) if isinstance(a, dict) else a for a in argv]
+    start = time.perf_counter()
+    assert main(argv) in (2, 3)
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 def test_the_family_input_above_the_cap_is_just_above_it():
     count = count_symmetry_families(FAMILIES_ABOVE_CAP)
     assert MAX_FAMILIES < count < 1.1 * MAX_FAMILIES
@@ -322,13 +343,9 @@ def test_non_integer_inputs_exit_2(tmp_path, capsys):
     plane = write_json(
         tmp_path / "f3.json", SpecialForm.from_terms(3, 2, [((1, 2), 1)]).to_dict()
     )
-    seed_cfg = tmp_path / "seed.cfg"
-    seed_cfg.write_text("seed = -3\n", encoding="utf-8")
-    for argv in (["--seed", "-1", "calibrate", plane],
-                 ["--config", str(seed_cfg), "calibrate", plane]):
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "seed" in err
+    assert main(["--seed", "-1", "calibrate", plane]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed" in err
 
 
 def test_config_file(tmp_path, capsys, form_file):
@@ -347,9 +364,8 @@ def test_config_file(tmp_path, capsys, form_file):
     removed.write_text("autom_r_cap = 12\n", encoding="utf-8")
     assert main(["--config", str(removed), "bell", "3"]) == 2
     typed = tmp_path / "typed.cfg"
-    typed.write_text("comass_tol = 1e-3\nsolver_r_cap = 7\nformat = dot\n", encoding="utf-8")
-    cfg = load_config(str(typed), environ={})
-    assert (cfg.comass_tol, cfg.solver_r_cap, cfg.format) == (1e-3, 7, "dot")
+    typed.write_text("canon_d_cap = 11\nsolver_r_cap = 7\n", encoding="utf-8")
+    assert load_config(str(typed), environ={}) == RunConfig(canon_d_cap=11, solver_r_cap=7)
     worse = tmp_path / "worse.cfg"
     worse.write_text("canon_d_cap = ten\n", encoding="utf-8")
     assert main(["--config", str(worse), "bell", "3"]) == 2
@@ -362,61 +378,65 @@ def test_config_file(tmp_path, capsys, form_file):
     assert main(["--config", str(no_equals), "bell", "3"]) == 2
     capsys.readouterr()
 
-    # comass checks comass_restarts and comass_tol, as it does --restarts and --tol
-    no_restarts = tmp_path / "no_restarts.cfg"
-    no_restarts.write_text("comass_restarts = 0\n", encoding="utf-8")
-    assert load_config(str(no_restarts), environ={}).comass_restarts == 0
-    assert main(["--config", str(no_restarts), "calibrate", form_file]) == 0
-    assert json.loads(capsys.readouterr().out)["n_restarts"] == 0
-    loose = tmp_path / "loose.cfg"
-    loose.write_text("comass_tol = 0.5\n", encoding="utf-8")
-    assert main(["--config", str(loose), "bell", "3"]) == 0
-    capsys.readouterr()
-    assert main(["--config", str(loose), "calibrate", form_file]) == 2
+
+@pytest.mark.parametrize(
+    "line",
+    ["seed = -3", "comass_tol = 0.5", "comass_restarts = 3", "output = out.json",
+     "format = csv"],
+)
+@pytest.mark.parametrize("route", ["--config", "SPECIALFORMS_CONFIG"])
+def test_per_run_keys_are_unknown_settings(line, route, tmp_path, capsys, monkeypatch,
+                                           form_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = ["graph", form_file]
+    if route == "--config":
+        argv = ["--config", str(cfg), *argv]
+    else:
+        monkeypatch.setenv(route, str(cfg))
+    assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "tolerance must lie in (0, 1e-2], got 0.5" in err
-
-
-def test_config_rejects_csv_format(tmp_path, capsys, form_file):
-    cfg = tmp_path / "csv.cfg"
-    cfg.write_text("format = csv\n", encoding="utf-8")
-    assert main(["--config", str(cfg), "graph", form_file]) == 2
-    assert "format" in capsys.readouterr().err
+    key = line.split(" =")[0]
+    assert out == "" and f"unknown setting {key!r}" in err
 
 
 def test_run_config_defaults_are_the_library_defaults():
     cfg = RunConfig()
     assert cfg.canon_d_cap == DEFAULT_CANON_DIMENSION_CAP
     assert cfg.solver_r_cap == DEFAULT_SOLVER_VERTEX_CAP
-    assert cfg.comass_tol == DEFAULT_TOL
-    assert cfg.comass_restarts == DEFAULT_RESTARTS
+    args = _build_parser().parse_args(["calibrate", "form.json"])
+    assert (args.seed, args.tol, args.restarts) == (0, DEFAULT_TOL, DEFAULT_RESTARTS)
+    assert args.output is None
+    for argv in (["graph", "form.json"], ["democratic", "matrix", "--circulant", "5"]):
+        assert _build_parser().parse_args(argv).format == "json"
 
 
 def test_config_env_var_and_precedence(tmp_path, capsys, monkeypatch):
-    f = SpecialForm.from_terms(3, 2, [((1, 2), 1)])
-    path = write_json(tmp_path / "plane.json", f.to_dict())
+    wide = SpecialForm.from_terms(11, 2, [((1, 2), 1)])
+    wide_path = write_json(tmp_path / "wide.json", wide.to_dict())
+    big = DistanceMatrix.from_rows([[0 if i == j else 2 for j in range(8)] for i in range(8)])
+    big_path = write_json(tmp_path / "big.json", big.to_dict())
     env_cfg = tmp_path / "env.cfg"
-    env_cfg.write_text("comass_restarts = 3\n", encoding="utf-8")
+    env_cfg.write_text("canon_d_cap = 11\n", encoding="utf-8")
     monkeypatch.setenv("SPECIALFORMS_CONFIG", str(env_cfg))
-    assert main(["calibrate", path]) == 0
-    assert json.loads(capsys.readouterr().out)["n_restarts"] == 3
-
-    flag_cfg = tmp_path / "flag.cfg"
-    flag_cfg.write_text("comass_restarts = 4\n", encoding="utf-8")
-    assert main(["--config", str(flag_cfg), "calibrate", path]) == 0
-    assert json.loads(capsys.readouterr().out)["n_restarts"] == 4
-
-    # a command line flag outranks any configured value
-    assert main(["--config", str(flag_cfg), "calibrate", path, "--restarts", "6"]) == 0
-    assert json.loads(capsys.readouterr().out)["n_restarts"] == 6
+    assert load_config() == RunConfig(canon_d_cap=11)
+    assert main(["canon", wide_path]) == 0
+    capsys.readouterr()
 
     # --config overlays the environment file instead of replacing it
-    seed_cfg = tmp_path / "seed.cfg"
-    seed_cfg.write_text("seed = 5\n", encoding="utf-8")
-    cfg = load_config(str(seed_cfg))
-    assert (cfg.seed, cfg.comass_restarts) == (5, 3)
-    assert main(["--config", str(seed_cfg), "calibrate", path]) == 0
-    assert json.loads(capsys.readouterr().out)["n_restarts"] == 3
+    flag_cfg = tmp_path / "flag.cfg"
+    flag_cfg.write_text("solver_r_cap = 7\n", encoding="utf-8")
+    assert load_config(str(flag_cfg)) == RunConfig(canon_d_cap=11, solver_r_cap=7)
+    assert main(["--config", str(flag_cfg), "canon", wide_path]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(flag_cfg), "realize", big_path, "--p", "4"]) == 3
+    assert "exceeds the cap 7" in capsys.readouterr().err
+
+    # and a key set in both comes from --config
+    narrow_cfg = tmp_path / "narrow.cfg"
+    narrow_cfg.write_text("canon_d_cap = 10\n", encoding="utf-8")
+    assert main(["--config", str(narrow_cfg), "canon", wide_path]) == 3
+    capsys.readouterr()
 
 
 def test_calibrate_deterministic_for_seed(tmp_path, capsys):
@@ -430,12 +450,9 @@ def test_calibrate_deterministic_for_seed(tmp_path, capsys):
 
 def test_restarts_above_the_cap_exit_3_at_once(tmp_path, capsys):
     path = write_json(tmp_path / "cayley.json", cayley_form().to_dict())
-    cfg = tmp_path / "many.cfg"
-    cfg.write_text(f"comass_restarts = {MAX_RESTARTS + 1}\n", encoding="utf-8")
     for argv in (
         ["calibrate", path, "--restarts", str(MAX_RESTARTS + 1)],
         ["calibrate", path, "--restarts", str(10**8)],
-        ["--config", str(cfg), "calibrate", path],
     ):
         start = time.perf_counter()
         assert main(argv) == 3
@@ -567,11 +584,21 @@ print("numpy" in sys.modules)
 assert main(["-o", {str(out)!r}, "calibrate", {form_file!r}, "--restarts", "2"]) == 0
 print("numpy" in sys.modules)
 """
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_the_module_runs_the_command_line():
+    done = _run_python("-m", "specialforms.cli", "bell", "7")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "877\n", "")
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's specialforms."""
     src = str(Path(__import__("specialforms").__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]

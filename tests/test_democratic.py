@@ -529,6 +529,8 @@ def test_classify_refuses_too_many_candidates_before_enumerating(monkeypatch):
         ((7, 9), {"alphabet": range(1, 10)}),
         ((5, 10**9, 10**9), {}),
         ((3, 10**12, 10**12), {}),
+        ((3, 10**40, 10**40), {}),  # more distances than a range's len() takes
+        ((7, 10**40, 10**40), {}),
     ):
         with pytest.raises(CapacityError):
             classify_small(*args, **kw)

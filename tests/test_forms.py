@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 import sys
 
@@ -9,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_canonical, brute_least_support, cayley_form, random_form
+from helpers import (
+    brute_canonical,
+    brute_least_support,
+    cayley_form,
+    orbit_counts,
+    random_form,
+)
 from specialforms import (
     CapacityError,
     DomainError,
@@ -150,6 +158,43 @@ def test_canonicalize_is_constant_on_orbits_and_idempotent():
         assert canonicalize(c) == c
         g = apply(SignedPermutation.random(f.d, rng), f)
         assert canonicalize(g) == c
+
+
+def test_orbit_counts_reproduce_the_hand_counts():
+    assert orbit_counts(4, 2) == [1, 1, 2, 3, 3, 2, 2]
+    assert orbit_counts(6, 3)[:4] == [1, 1, 3, 7]
+    # p = d: the volume form and its negative are one orbit
+    assert orbit_counts(3, 3) == [1, 1]
+
+
+# Every weight slice of at most SLICE_FORMS forms for d <= 5: at d = 5 the
+# slices at w <= 4 and at full weight, up to 3,360 forms.
+SLICE_FORMS = 5000
+SLICES = [
+    (d, p, w)
+    for d in range(1, 6)
+    for p in range(1, d + 1)
+    for w in range(math.comb(d, p) + 1)
+    if math.comb(math.comb(d, p), w) * 2**w <= SLICE_FORMS
+]
+_orbit_counts = functools.lru_cache(orbit_counts)
+
+
+@pytest.mark.parametrize("d, p, w", SLICES)
+def test_orbits_of_a_weight_slice_are_the_burnside_count(d, p, w):
+    """canonicalize has as many outputs on the slice as Burnside's lemma
+    counts orbits; orbit_equivalent puts each form with the first form of
+    its class, and no two classes together."""
+    subsets = list(itertools.combinations(range(1, d + 1), p))
+    first = {}
+    for support in itertools.combinations(subsets, w):
+        for signs in itertools.product((1, -1), repeat=w):
+            f = form(d, p, *zip(support, signs))
+            rep = first.setdefault(canonicalize(f), f)
+            assert orbit_equivalent(rep, f)
+    assert len(first) == _orbit_counts(d, p)[w]
+    for a, b in itertools.combinations(first.values(), 2):
+        assert not orbit_equivalent(a, b)
 
 
 def test_canonicalize_dimension_cap():
