@@ -17,7 +17,7 @@ plan of row subsets built once per call; the gradient is its adjoint.  The
 starts run in blocks whose plan working set, 4 floats per subset row of
 every level, holds at most BLOCK_FLOATS floats.  Every sum adds in an order
 fixed by the plan, so a start's result does not depend on its block.  More
-than MAX_RESTARTS restarts, and forms of more than
+than MAX_RESTARTS restarts, and forms or coordinate frames of more than
 forms.DEFAULT_CANON_DIMENSION_CAP dimensions, are refused before any work.
 """
 
@@ -79,9 +79,13 @@ class Frame:
 
     @classmethod
     def coordinate(cls, d: int, indices) -> "Frame":
-        """The coordinate plane spanned by the given axes, in order."""
-        import numpy as np
+        """The coordinate plane spanned by the given axes, in order.
+
+        Dimensions above forms.DEFAULT_CANON_DIMENSION_CAP are refused, as
+        in `comass`, before numpy is called."""
         (d,) = as_ints((d,), "dimension", low=1)
+        check_cap(d, DEFAULT_CANON_DIMENSION_CAP, "frame dimension")
+        import numpy as np
         idx = as_ints(indices, "axes", 1, d)
         return cls(np.eye(d)[[i - 1 for i in idx]])
 

@@ -119,7 +119,7 @@ class GraphFunction:
 
 
 @functools.lru_cache(maxsize=16)
-def _search_tables(r: int) -> tuple[tuple, tuple, tuple]:
+def _search_tables(r: int) -> tuple[tuple, ...]:
     """The tables of `solve` that depend only on the vertex count r > 1.
 
     `pairs` lists the vertex pairs (i, j), i < j.  `branch` lists the
@@ -127,7 +127,10 @@ def _search_tables(r: int) -> tuple[tuple, tuple, tuple]:
     pairs in `pairs`, size - 1).  `drops[k]` holds (v, s_v - 1) for the
     vertices whose s_v drops on reaching position k: after v's last subset
     of each size, s_v falls to the next size, and to 2 after the last one.
-    Drops at the leaf are left to settle.
+    Drops at the leaf are left to settle.  The masks are bit sets of
+    positions in `branch`: `pair_mask[q]` holds those whose members contain
+    pair q, `vert_mask[v]` those containing vertex v, and `drop_mask` those
+    with drops.
     """
     verts = range(r)
     pairs = tuple((i, j) for i in verts for j in range(i + 1, r))
@@ -145,7 +148,15 @@ def _search_tables(r: int) -> tuple[tuple, tuple, tuple]:
         for (k, s1), (_, nxt) in zip(at_v, at_v[1:] + [(len(branch), 1)]):
             if nxt != s1 and k + 1 < len(branch):
                 drops[k + 1].append((v, nxt))
-    return pairs, branch, tuple(map(tuple, drops))
+    pair_mask, vert_mask = [0] * len(pairs), [0] * r
+    for k, (members, internal, _) in enumerate(branch):
+        for q in internal:
+            pair_mask[q] |= 1 << k
+        for v in members:
+            vert_mask[v] |= 1 << k
+    drop_mask = sum(1 << k for k, at in enumerate(drops) if at)
+    return (pairs, branch, tuple(map(tuple, drops)),
+            tuple(pair_mask), tuple(vert_mask), drop_mask)
 
 
 def solve(
@@ -177,8 +188,10 @@ def solve(
     pair weights is the s_v = 2 case, applied pair by pair.
 
     A position whose bound is 0 has one child, weight 0, which changes no
-    state, so runs of such positions are walked in one loop; each still
-    counts as a node and has its drops checked.
+    state.  The search keeps the bit set of such positions, those holding
+    a pair or a vertex with no budget left, and jumps over each run of
+    them in one step to the next position that can branch; each skipped
+    position still counts as a node and has its drops checked.
 
     Solutions are sorted by their values.  When `stats` is given, the
     search adds its node, leaf, prune and solution counts to it.
@@ -197,7 +210,7 @@ def solve(
     if r == 1:
         return []  # no proper nonempty subsets exist to cover the vertex
     verts = range(r)
-    pairs, branch, drops = _search_tables(r)
+    pairs, branch, drops, pair_mask, vert_mask, drop_mask = _search_tables(r)
     pair_budget = [p - m.entries[i][j] for i, j in pairs]
     vert_budget = [p] * r
     pair_sum = [0] * r  # open pair budget at each vertex
@@ -209,6 +222,7 @@ def solve(
     solutions: list[GraphFunction] = []
     nodes = leaves = pruned = 0
     last = len(branch)
+    full = (1 << last) - 1
     pair_at, vert_at = pair_budget.__getitem__, vert_budget.__getitem__
 
     def settle() -> None:
@@ -234,26 +248,34 @@ def solve(
         values = sorted((tuple(v + 1 for v in subset), c) for subset, c in entries)
         solutions.append(unchecked(GraphFunction, r=r, p=p, values=tuple(values)))
 
-    def descend(k: int) -> None:
+    def descend(k: int, dead: int) -> None:
         nonlocal nodes, leaves, pruned
-        while True:  # through the positions whose bound is 0
-            nodes += 1
-            if k == last:
-                leaves += 1
-                settle()
-                return
-            for v, s1 in drops[k]:
+        live = (full & ~dead) >> k  # positions k.. whose bound is not 0
+        j = k + (live & -live).bit_length() - 1 if live else last
+        due = (drop_mask >> k) & ((2 << (j - k)) - 1)
+        while due:  # the drops at k..j, in order
+            i = k + (due & -due).bit_length() - 1
+            for v, s1 in drops[i]:
                 if pair_sum[v] > s1 * vert_budget[v]:
+                    nodes += i - k + 1
                     pruned += 1
                     return
-            members, internal, s1 = branch[k]
-            ub = min(map(pair_at, internal))  # the internal pairs usually bind
-            if ub:
-                ub = min(ub, min(map(vert_at, members)))
-                if ub:
-                    break
-            k += 1
-        descend(k + 1)  # weight 0, then 1..ub, each one unit above the last
+            due &= due - 1
+        nodes += j - k + 1
+        if j == last:
+            leaves += 1
+            settle()
+            return
+        members, internal, s1 = branch[j]
+        ub = min(min(map(pair_at, internal)), min(map(vert_at, members)))
+        spent = dead  # the positions whose bound the last unit, c = ub, zeroes
+        for q in internal:
+            if pair_budget[q] == ub:
+                spent |= pair_mask[q]
+        for v in members:
+            if vert_budget[v] == ub:
+                spent |= vert_mask[v]
+        descend(j + 1, dead)  # weight 0, then 1..ub, each one unit above the last
         chosen.append((members, 0))
         for c in range(1, ub + 1):
             for v in members:
@@ -262,7 +284,7 @@ def solve(
             for q in internal:
                 pair_budget[q] -= 1
             chosen[-1] = (members, c)
-            descend(k + 1)
+            descend(j + 1, spent if c == ub else dead)
         chosen.pop()
         for v in members:
             vert_budget[v] += ub
@@ -270,7 +292,11 @@ def solve(
         for q in internal:
             pair_budget[q] += ub
 
-    descend(0)
+    dead = 0  # the pairs at distance p start with no budget
+    for q, c in enumerate(pair_budget):
+        if not c:
+            dead |= pair_mask[q]
+    descend(0, dead)
     solutions.sort(key=lambda f: f.values)
     if stats is not None:
         stats.nodes += nodes

@@ -421,3 +421,15 @@ def test_dimensions_above_the_cap_are_refused_before_any_work():
     assert time.perf_counter() - start < 1.0
     top = DEFAULT_CANON_DIMENSION_CAP
     assert comass(form(top, 2, ((top - 1, top), 1)), 2).calibrated
+
+
+def test_coordinate_frames_above_the_cap_are_refused_before_numpy():
+    # Frame.coordinate(10**40, (1,)) raised numpy's "Maximum allowed
+    # dimension exceeded" ValueError, and d = 100,000 built a 74.5 GiB eye
+    start = time.perf_counter()
+    for d in (DEFAULT_CANON_DIMENSION_CAP + 1, 100_000, 10**40):
+        with pytest.raises(CapacityError, match="frame dimension"):
+            Frame.coordinate(d, (1,))
+    assert time.perf_counter() - start < 1.0
+    top = DEFAULT_CANON_DIMENSION_CAP
+    assert Frame.coordinate(top, (top,)).vectors.shape == (1, top)

@@ -250,9 +250,10 @@ def test_solve_tables_are_cached_and_equal_fresh_ones():
     fresh = _search_tables.__wrapped__
     for r in range(2, 9):
         assert solve(all_two(r), 2)  # a search ran on the cached tables
-        pairs, branch, drops = _search_tables(r)
+        tables = _search_tables(r)
         assert _search_tables(r) is _search_tables(r)
-        assert (pairs, branch, drops) == fresh(r)
+        assert tables == fresh(r)
+        pairs, branch, drops, pair_mask, vert_mask, drop_mask = tables
         assert pairs == tuple(itertools.combinations(range(r), 2))
         assert [members for members, _, _ in branch] == [
             c
@@ -266,6 +267,40 @@ def test_solve_tables_are_cached_and_equal_fresh_ones():
             assert s1 == len(members) - 1
         assert len(drops) == len(branch)
         assert all(type(t) is tuple for t in (pairs, branch, drops, *drops))
+        # each mask bit k says whether branch position k holds the pair or
+        # vertex, or carries drops; no bit lies past the last position
+        assert len(pair_mask) == len(pairs) and len(vert_mask) == r
+        for mask, held in [(pair_mask[q], set(pq)) for q, pq in enumerate(pairs)] + [
+            (vert_mask[v], {v}) for v in range(r)
+        ]:
+            assert mask >> len(branch) == 0
+            for k, (members, _, _) in enumerate(branch):
+                assert (mask >> k & 1) == held.issubset(members)
+        assert drop_mask >> len(branch) == 0
+        for k, at in enumerate(drops):
+            assert (drop_mask >> k & 1) == bool(at)
+
+
+# Sums over every admissible 4-vertex matrix with entries <= 3 (482 of
+# them): (p, nodes, leaves, pruned, solutions, digest of the solution
+# values).  Unlike the all-2 rows these start with pairs whose budget is
+# already 0, spend vertex budgets before their pairs, and prune inside
+# runs of positions whose bound is 0.
+MIXED_ROWS = [
+    (3, 4122, 996, 326, 596, "5a03d2d0091f3334"),
+    (4, 9998, 2751, 1928, 834, "f7a99bf0a4de41ed"),
+    (5, 13839, 3258, 4540, 476, "687e2a25e5b13acb"),
+]
+
+
+def test_solve_pinned_on_the_mixed_distance_matrices():
+    mats = list(all_admissible_matrices(4, 3))
+    assert len(mats) == 482
+    for p, nodes, leaves, pruned, count, digest in MIXED_ROWS:
+        stats = SearchStats()
+        solutions = [f for m in mats for f in solve(m, p, stats=stats)]
+        assert stats == SearchStats(nodes, leaves, pruned, count), p
+        assert _values_digest(solutions) == digest, p
 
 
 def test_dimension_filter():
