@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma list of distances (defaults to 1, 2, ...)")
     p_mat.add_argument("--format", choices=("json", "dot"), default="json")
     p_mat.add_argument("--p", type=int, default=None, dest="p",
-                       help="omit distance-p edges from DOT output")
+                       help="omit edges at distance p or more from DOT output")
     p_mat.add_argument("--dot", default=None, metavar="PATH",
                        help="additionally write a DOT rendering here")
 
@@ -162,8 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "each value twice")
     p_cls.add_argument("r", type=int)
     p_cls.add_argument("--p", type=int, required=True, dest="p")
-    p_cls.add_argument("--max-distance", type=int, default=None)
-    p_cls.add_argument("--alphabet", default=None, help="comma list of allowed distances")
+    values = p_cls.add_mutually_exclusive_group()
+    values.add_argument("--max-distance", type=int, default=None)
+    values.add_argument("--alphabet", default=None, help="comma list of allowed distances")
 
     p_cal = sub.add_parser("calibrate", help="comass search for a form")
     p_cal.add_argument("form", help="form JSON file")
@@ -328,11 +329,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 **record,
                 "seconds": time.perf_counter() - start,
             }), file=sys.stderr)
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

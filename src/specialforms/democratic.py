@@ -312,20 +312,22 @@ class ClassificationCatalog:
         }
 
 
-def _same_triangles(m: np.ndarray, q: int) -> np.ndarray:
+def _same_triangles(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Which matrices of ranks below q (diagonals unread) show every vertex
     the same multiset of triangles (shorter and longer side at the vertex,
-    opposite side): a necessary condition for vertex transitivity."""
+    opposite side): a necessary condition for vertex transitivity.  Also
+    returns each matrix's sorted triangle keys at vertex 0."""
     import numpy as np
     r = m.shape[1]
     same, first = np.ones(len(m), bool), None
     for v in range(r):  # one vertex at a time keeps the working set small
         a, b = (v + 1 + np.array(np.triu_indices(r - 1, 1))) % r
         va, vb = m[:, v, a], m[:, v, b]
-        key = np.sort((np.minimum(va, vb) * q + np.maximum(va, vb)) * q + m[:, a, b])
+        key = (np.minimum(va, vb) * q + np.maximum(va, vb)) * q + m[:, a, b]
+        key = np.sort(key.astype(np.int16))  # numpy sorts int16 rows faster than int8
         first = key if first is None else first
         same &= (key == first).all(1)
-    return same
+    return same, first
 
 
 def classify_small(
@@ -350,16 +352,20 @@ def classify_small(
     profiles, automorphisms and circulant witnesses, so the search runs once,
     over the ranks: the upper triangle is filled level by level, row by row
     and ranks ascending, keeping the children whose two rows hold the rank
-    at most once.  A vectorised triangle-profile filter runs on the leaves;
-    only its survivors become DistanceMatrix objects and are matched against
-    the q! circulants on 1..q.  A match is democratic, as the translations
-    of Z_r are automorphisms of every circulant, so only a candidate that
-    matches none is tested for democracy; one that passes refutes the
-    theorem and is kept with no witness (theorem_verified: none such).  For
-    each q-subset V of the alphabet the catalog, circulant distances
-    included, is renamed through 1..q -> V, and all entries are merged into
-    lexicographic upper-triangle order.  `stats` gains the counts that
-    SearchStats lists; the tree is not walked when no value set exists.
+    at most once, as told by a count of each rank in each row that each
+    child copies from its parent and updates.  A vectorised triangle-profile
+    filter runs on the leaves; only its survivors become DistanceMatrix
+    objects and are matched against the q! circulants on 1..q whose vertex-0
+    triangle keys equal theirs.  The others cannot match: a relabeling
+    carries a vertex's triangles onto its image's, and all vertices of a
+    survivor, or of a circulant, are alike.  A match is democratic, as the
+    translations of Z_r are automorphisms of every circulant, so only a
+    candidate that matches none is tested for democracy; one that passes
+    refutes the theorem and is kept with no witness (theorem_verified: none
+    such).  For each q-subset V of the alphabet the catalog, circulant
+    distances included, is renamed through 1..q -> V, and all entries are
+    merged into lexicographic upper-triangle order.  `stats` gains the counts
+    that SearchStats lists; the tree is not walked when no value set exists.
     """
     import numpy as np
     (r,) = as_ints((r,), "vertex count")
@@ -374,6 +380,8 @@ def classify_small(
             raise DomainError("either max_distance or alphabet is required")
         (size,) = as_ints((max_distance,), "max_distance", 1, p)
         alpha = range(1, size + 1)  # len() of a range overflows above sys.maxsize
+    elif max_distance is not None:
+        raise DomainError("give either max_distance or alphabet, not both")
     else:
         alpha = tuple(sorted(set(as_ints(alphabet, "alphabet", 1, p))))
         if not alpha:
@@ -389,25 +397,30 @@ def classify_small(
     iu, ju = np.triu_indices(r, 1)
     pos = np.full((r, r), -1)
     pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
-    ranks = np.arange(q, dtype=np.int8)
     upper = np.zeros((1 if value_sets else 0, 0), np.int8)
+    held = np.zeros((len(upper), r, q), np.int8)  # how often each row holds each rank
     for i, j in zip(iu, ju):
-        room = (upper[:, pos[i, np.r_[:i, i + 1 : j]], None] == ranks).sum(1) < 2
-        room &= (upper[:, pos[j, :i], None] == ranks).sum(1) < 2
+        room = (held[:, i] < 2) & (held[:, j] < 2)
         parent, val = np.nonzero(room)
         stats.nodes += len(parent)
         stats.pruned += room.size - len(parent)
         upper = np.column_stack([upper[parent], val.astype(np.int8)])
+        held, child = held[parent], np.arange(len(parent))
+        held[child, i, val] += 1
+        held[child, j, val] += 1
     candidate_count = len(upper) * len(value_sets)
     stats.leaves += candidate_count
 
-    full = np.pad(upper[_same_triangles(upper[:, pos], q)] + 1, ((0, 0), (0, 1)))[:, pos]
+    same, keys = _same_triangles(upper[:, pos], q)
+    full = np.pad(upper[same] + 1, ((0, 0), (0, 1)))[:, pos]
     perms = itertools.permutations(range(1, q + 1))
     targets = [(perm, circulant_matrix(q, perm)) for perm in perms]
+    circ = np.array([t.entries for _, t in targets], np.int8) - 1
+    fits = (keys[same, None] == _same_triangles(circ, q)[1]).all(2)
     found = []  # the catalog over the ranks 1..q
-    for rows in full.tolist():  # symmetric, 0 on the diagonal only
+    for rows, fit in zip(full.tolist(), fits):  # symmetric, 0 on the diagonal only
         cand = unchecked(DistanceMatrix, r=r, entries=tuple(map(tuple, rows)))
-        for perm, target in targets:
+        for perm, target in itertools.compress(targets, fit):
             wit = find_relabeling(cand, target)
             if wit is not None:
                 found.append((cand, perm, wit))

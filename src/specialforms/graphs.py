@@ -314,7 +314,7 @@ def find_relabeling(
 
 
 def to_dot(m: DistanceMatrix, p: Optional[int] = None) -> str:
-    """GraphViz rendering; edges at distance p are omitted when p is given."""
+    """GraphViz rendering; edges at distance p or more are omitted when p is given."""
     lines = ["graph distances {"]
     for v in range(1, m.r + 1):
         lines.append(f"  v{v};")

@@ -197,6 +197,15 @@ def test_democratic_classify(capsys):
     capsys.readouterr()
 
 
+def test_classify_takes_max_distance_or_alphabet_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["democratic", "classify", "7", "--p", "3", "--max-distance", "2",
+              "--alphabet", "1,2,3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with" in err and "Traceback" not in err
+
+
 ODD_ABOVE_CAP = (MAX_VERTICES + 1) | 1
 EVEN_ABOVE_CAP = MAX_VERTICES + 2 - MAX_VERTICES % 2
 FAMILIES_ABOVE_CAP = 1036800  # 20,741 symmetry families
@@ -323,6 +332,13 @@ def test_output_file_after_command(tmp_path, pentagon_file, capsys):
     assert main(["-o", str(unused), "bell", "4", "--output", str(after)]) == 0
     assert json.loads(after.read_text(encoding="utf-8")) == 15
     assert not unused.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["no-directory", "a-directory"])
+def test_output_to_a_path_that_cannot_be_written_exits_2(where, tmp_path, capsys):
+    assert main(["-o", str(tmp_path / where), "bell", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_non_integer_inputs_exit_2(tmp_path, capsys):

@@ -416,6 +416,8 @@ def test_classify_validation():
         classify_small(5, 0, 2)
     with pytest.raises(DomainError):
         classify_small(5, 2)  # no alphabet given
+    with pytest.raises(DomainError, match="not both"):
+        classify_small(5, 2, 2, alphabet=(1, 2))
     with pytest.raises(DomainError):
         classify_small(5, 2, 3)  # distance 3 cannot occur in degree 2
     with pytest.raises(DomainError):
@@ -541,21 +543,18 @@ def test_classify_refuses_too_many_candidates_before_enumerating(monkeypatch):
         classify_small(5, 4, 4)  # 72 candidates
 
 
-def _loop_triangle_profiles_equal(entries) -> bool:
-    r = len(entries)
-    profiles = []
-    for v in range(r):
-        others = [x for x in range(r) if x != v]
-        profiles.append(
-            Counter(
-                (*sorted((entries[v][a], entries[v][b])), entries[a][b])
-                for a, b in itertools.combinations(others, 2)
-            )
-        )
-    return all(c == profiles[0] for c in profiles)
+def _loop_triangles_at(entries, v) -> list[tuple[int, int, int]]:
+    """Vertex v's triangles, sorted: (shorter, longer side at v, opposite side)."""
+    others = [x for x in range(len(entries)) if x != v]
+    return sorted(
+        (*sorted((entries[v][a], entries[v][b])), entries[a][b])
+        for a, b in itertools.combinations(others, 2)
+    )
 
 
 def test_triangle_filter_matches_a_loop_reference():
+    """The filter's verdict, and the vertex-0 keys it hands to the target
+    skip, both agree with a loop over every vertex's triangles."""
     rng = random.Random(61)
     mats = []
     for perm in itertools.permutations((1, 2, 3)):
@@ -573,9 +572,47 @@ def test_triangle_filter_matches_a_loop_reference():
                 a, b = sorted(edge)
                 rows[a][b] = rows[b][a] = dist
         mats.append(rows)
-    got = democratic._same_triangles(np.array(mats, dtype=np.int8) - 1, 3).tolist()
-    assert got == [_loop_triangle_profiles_equal(m) for m in mats]
-    assert 6 <= sum(got) < len(mats)
+    same, keys = democratic._same_triangles(np.array(mats, dtype=np.int8) - 1, 3)
+    first = [_loop_triangles_at(m, 0) for m in mats]
+    assert same.tolist() == [
+        all(_loop_triangles_at(m, v) == t for v in range(7)) for m, t in zip(mats, first)
+    ]
+    assert 6 <= sum(same) < len(mats)
+    # ranks 0..2 read in base 3, an encoding that keeps the sorted order
+    code = [[((a - 1) * 3 + b - 1) * 3 + c - 1 for a, b, c in t] for t in first]
+    assert keys.tolist() == code
+
+
+@pytest.mark.parametrize(
+    "args, kw",
+    [((5, 2, 2), {}), ((7, 3, 3), {}), ((5, 9), {"alphabet": (2, 5, 9)})],
+    ids=["5-ranks", "7-ranks", "5-gapped-alphabet"],
+)
+def test_circulants_are_skipped_exactly_where_no_relabeling_exists(args, kw, monkeypatch):
+    """Every search classify_small makes finds a relabeling, and on every
+    catalog entry (the filter's survivors, renamed) a circulant's vertex-0
+    triangles differ from the entry's exactly when find_relabeling fails."""
+    hits = []
+
+    def recording(src, dst):
+        wit = find_relabeling(src, dst)
+        hits.append(wit is not None)
+        return wit
+
+    monkeypatch.setattr(democratic, "find_relabeling", recording)
+    cat = classify_small(*args, **kw)
+    q = (cat.r - 1) // 2
+    assert all(hits) and len(hits) * math.comb(len(cat.alphabet), q) == len(cat.entries)
+    pairs = 0
+    for e in cat.entries:
+        rows = e.matrix.entries
+        mine = _loop_triangles_at(rows, 0)
+        for perm in itertools.permutations(sorted(set(rows[0][1:]))):
+            target = circulant_matrix(q, perm)
+            fits = _loop_triangles_at(target.entries, 0) == mine
+            assert fits == (find_relabeling(e.matrix, target) is not None)
+            pairs += 1
+    assert pairs == len(cat.entries) * math.factorial(q)
 
 
 @pytest.mark.parametrize(

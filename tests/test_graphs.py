@@ -400,3 +400,9 @@ def test_to_dot():
     )
     # edges at distance p are dropped: only the short edge remains
     assert to_dot(m, p=2).count("--") == 1
+    # every distance from p up is dropped, not only p itself
+    m = DistanceMatrix.from_rows([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    assert [line for line in to_dot(m, p=2).splitlines() if "--" in line] == [
+        '  v1 -- v2 [label="d=1"];',
+        '  v3 -- v4 [label="d=1"];',
+    ]
