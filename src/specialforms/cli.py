@@ -29,7 +29,10 @@ from .realization import forms_of, realize, solve
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:  # no UTF-8 or no JSON, an int past the digit limit, or nested too deep
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(str(exc)) from exc
 
 
 def _dump(obj) -> str:
@@ -317,7 +320,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, PreconditionError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

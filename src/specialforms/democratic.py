@@ -170,7 +170,10 @@ class DistanceAssignment:
         return dict(self.values)
 
     def value(self, delta: Sequence[int]) -> int:
-        return self._lookup[_orbit(as_ints(delta, "difference"), self.factors)]
+        delta, fac = as_ints(delta, "difference"), self.factors
+        if len(delta) != len(fac) or not any(x % n for x, n in zip(delta, fac)):
+            raise DomainError(f"difference {delta} is not a nonzero element of Z_{fac}")
+        return self._lookup[_orbit(delta, fac)]
 
 
 def product_matrix(
@@ -391,7 +394,7 @@ def classify_small(
     expected = math.comb(size, q) * CANDIDATES_PER_VALUE_SET[r]
     check_cap(expected, MAX_CANDIDATES, "candidate count")
     value_sets = list(itertools.combinations(alpha, q))
-    stats = stats or SearchStats()
+    stats = SearchStats() if stats is None else stats
     stats.nodes += 1
 
     iu, ju = np.triu_indices(r, 1)

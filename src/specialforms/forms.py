@@ -69,13 +69,14 @@ class OrientedSubset:
         return "e(" + ",".join(str(i) for i in self.indices) + ")"
 
 
+def _oriented(s) -> OrientedSubset:
+    """The subset itself, or a plain index tuple read as one."""
+    return s if isinstance(s, OrientedSubset) else OrientedSubset(tuple(s))
+
+
 def subset_distance(s, t) -> int:
     """Degree minus shared indices, accepting subsets or plain index tuples."""
-    if not isinstance(s, OrientedSubset):
-        s = OrientedSubset(tuple(s))
-    if not isinstance(t, OrientedSubset):
-        t = OrientedSubset(tuple(t))
-    return s.distance_to(t)
+    return _oriented(s).distance_to(_oriented(t))
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,7 @@ class SpecialForm:
         signs = as_signs((sign for _, sign in self.terms), "signs")
         norm = []
         for (subset, _), sign in zip(self.terms, signs):
-            if not isinstance(subset, OrientedSubset):
-                subset = OrientedSubset(tuple(subset))
+            subset = _oriented(subset)
             if subset.degree != p:
                 raise DomainError(f"term {subset} does not have degree {p}")
             if subset.indices[-1] > d:
@@ -115,7 +115,7 @@ class SpecialForm:
     def from_terms(
         cls, d: int, p: int, terms: Iterable[tuple[Iterable[int], int]]
     ) -> "SpecialForm":
-        return cls(d, p, tuple((OrientedSubset(tuple(s)), g) for s, g in terms))
+        return cls(d, p, tuple(terms))
 
     @property
     def weight(self) -> int:
@@ -325,8 +325,8 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 
 @dataclass
 class SearchStats:
-    """Work counters of an exhaustive search; a search adds its counts to
-    the fields, so one object can total several calls.  By search:
+    """Work counters of an exhaustive search; a search adds to the fields
+    as it counts, so one object can total several calls.  By search:
 
     - placement (`canonicalize`; `orbit_equivalent` adds its search of the
       first form and its match of the second): `nodes` the positions
@@ -386,6 +386,14 @@ def flip_basis(rows: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
                 break
             v ^= basis[piv]
     return sorted(basis.items(), reverse=True)
+
+
+def _signed(d: int, p: int, support: Sequence[OrientedSubset], pattern: int) -> SpecialForm:
+    """The form on the sorted subsets whose row t is negative when bit w-1-t
+    of the sign pattern is set, built unchecked."""
+    w = len(support)
+    signs = (-1 if (pattern >> (w - 1 - t)) & 1 else 1 for t in range(w))
+    return unchecked(SpecialForm, d=d, p=p, terms=tuple(zip(support, signs)))
 
 
 def _orbit(start, images) -> Iterator:
@@ -547,13 +555,7 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             explored.add(x)
             label(x, labs[0])
             path.append(x)
-            rest = [y for y in need if y != x]
-            if len(rest) > 1:
-                assign(t, term, rest, labs[1:])
-            else:  # the last label has one place to go
-                label(rest[0], labs[1])
-                place(t + 1)
-                unlabel(rest[0])
+            assign(t, term, [y for y in need if y != x], labs[1:])
             path.pop()
             unlabel(x)
             if jumped():
@@ -643,16 +645,11 @@ def canonicalize(
     `stats`, when given, gains the placement counts that SearchStats lists.
     """
     check_cap(form.d, dimension_cap, "canonicalization dimension")
-    w = form.weight
-    if w == 0:
+    if form.weight == 0:
         return form
     rows, base, maps = _labeling(form, SearchStats() if stats is None else stats)
-    sig = _least_signature(rows, base, maps)
-    terms = tuple(
-        (unchecked(OrientedSubset, indices=row), -1 if (sig >> (w - 1 - t)) & 1 else 1)
-        for t, row in enumerate(rows)
-    )
-    return unchecked(SpecialForm, d=form.d, p=form.p, terms=terms)
+    support = [unchecked(OrientedSubset, indices=row) for row in rows]
+    return _signed(form.d, form.p, support, _least_signature(rows, base, maps))
 
 
 def orbit_equivalent(

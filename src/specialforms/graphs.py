@@ -8,8 +8,8 @@ closed curves when every distance occurs exactly twice per row.
 `symmetries`, `is_democratic` and `find_relabeling` share one backtracking
 kernel, `_extend`, which tries images in ascending vertex order, so each
 returns the first witness in that order.  Each takes an optional
-`SearchStats`, to which the kernel adds the positions it enters as nodes
-and each bijection it finds as a leaf.
+`SearchStats`, to which the kernel adds each position it enters as a node
+and each bijection it finds as a leaf, as it goes.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ def _extend(
     pa: list[tuple],
     pb: list[tuple],
     prefix: list[int],
-    stats: Optional[SearchStats] = None,
+    stats: SearchStats,
 ) -> Optional[list[int]]:
     """First bijection pi with b[pi(v)][pi(w)] == a[v][w] that sends each
     vertex v < len(prefix) to prefix[v], or None.  Vertex v may only go to a
     vertex x with the same row profile (pa[v] == pb[x]); the other images
     are tried in ascending order.  Vertices are 0-based here.  `stats`
-    gains the positions entered past the prefix as nodes, and the bijection
+    gains each position entered past the prefix as a node, and the bijection
     found, if any, as a leaf; a refused prefix enters no node."""
     r = len(a)
     used = [False] * r
@@ -130,12 +130,11 @@ def _extend(
             if a[v][u] != b[x][prefix[u]]:
                 return None
     image = list(prefix)
-    nodes = 0
 
     def extend(v: int) -> bool:
-        nonlocal nodes
-        nodes += 1
+        stats.nodes += 1
         if v == r:
+            stats.leaves += 1
             return True
         for x in range(r):
             if used[x] or pa[v] != pb[x]:
@@ -152,11 +151,7 @@ def _extend(
                 used[x] = False
         return False
 
-    found = extend(len(prefix))
-    if stats is not None:
-        stats.nodes += nodes
-        stats.leaves += found
-    return image if found else None
+    return image if extend(len(prefix)) else None
 
 
 @dataclass(frozen=True)
@@ -185,6 +180,7 @@ def symmetries(
     a generating set.  Refused above DEFAULT_AUTOMORPHISM_VERTEX_CAP vertices.
     """
     check_cap(m.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP, "automorphism search vertex count")
+    stats = SearchStats() if stats is None else stats
     e = m.entries
     profiles = _row_profiles(e)
     orbits: list[int] = []
@@ -207,6 +203,7 @@ def is_democratic(m: DistanceMatrix, *, stats: Optional[SearchStats] = None) -> 
     """Whether the automorphism group is vertex-transitive.  Refused, like
     `symmetries`, above DEFAULT_AUTOMORPHISM_VERTEX_CAP vertices."""
     check_cap(m.r, DEFAULT_AUTOMORPHISM_VERTEX_CAP, "automorphism search vertex count")
+    stats = SearchStats() if stats is None else stats
     e = m.entries
     profiles = _row_profiles(e)
     return all(
@@ -309,7 +306,7 @@ def find_relabeling(
     pa, pb = _row_profiles(a), _row_profiles(b)
     if sorted(pa) != sorted(pb):
         return None
-    pi = _extend(a, b, pa, pb, [], stats)
+    pi = _extend(a, b, pa, pb, [], SearchStats() if stats is None else stats)
     return None if pi is None else tuple(x + 1 for x in pi)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (DomainError, PreconditionError, as_ints, as_permutation, as_subset,
                      check_cap, malformed, unchecked)
-from .forms import OrientedSubset, SearchStats, SpecialForm, flip_basis
+from .forms import OrientedSubset, SearchStats, SpecialForm, _oriented, _signed, flip_basis
 from .graphs import DistanceMatrix, _distance_rows, is_admissible
 
 # Exhaustive weight-function search is refused above this vertex count.
@@ -67,7 +67,8 @@ class GraphFunction:
         return sum(v for _, v in self.values)
 
     def value(self, subset: Iterable[int]) -> int:
-        return dict(self.values).get(tuple(sorted(as_ints(subset, "subset vertices"))), 0)
+        what = "subset vertices"  # as_ints first: sorted() raises TypeError on mixed types
+        return dict(self.values).get(as_subset(sorted(as_ints(subset, what)), what, self.r), 0)
 
     def vertex_sums(self) -> tuple[int, ...]:
         sums = [0] * self.r
@@ -193,8 +194,8 @@ def solve(
     them in one step to the next position that can branch; each skipped
     position still counts as a node and has its drops checked.
 
-    Solutions are sorted by their values.  When `stats` is given, the
-    search adds its node, leaf, prune and solution counts to it.
+    Solutions are sorted by their values.  The search adds its node, leaf,
+    prune and solution counts to `stats`, when given, as it counts them.
     """
     (p,) = as_ints((p,), "degree", low=1)
     if d_filter is not None:
@@ -209,6 +210,7 @@ def solve(
     r = m.r
     if r == 1:
         return []  # no proper nonempty subsets exist to cover the vertex
+    stats = SearchStats() if stats is None else stats
     verts = range(r)
     pairs, branch, drops, pair_mask, vert_mask, drop_mask = _search_tables(r)
     pair_budget = [p - m.entries[i][j] for i, j in pairs]
@@ -220,7 +222,6 @@ def solve(
 
     chosen: list[tuple[tuple[int, ...], int]] = []
     solutions: list[GraphFunction] = []
-    nodes = leaves = pruned = 0
     last = len(branch)
     full = (1 << last) - 1
     pair_at, vert_at = pair_budget.__getitem__, vert_budget.__getitem__
@@ -247,9 +248,9 @@ def solve(
         # weights are positive: a weight-0 choice is never in `chosen`
         values = sorted((tuple(v + 1 for v in subset), c) for subset, c in entries)
         solutions.append(unchecked(GraphFunction, r=r, p=p, values=tuple(values)))
+        stats.solutions += 1
 
     def descend(k: int, dead: int) -> None:
-        nonlocal nodes, leaves, pruned
         live = (full & ~dead) >> k  # positions k.. whose bound is not 0
         j = k + (live & -live).bit_length() - 1 if live else last
         due = (drop_mask >> k) & ((2 << (j - k)) - 1)
@@ -257,13 +258,13 @@ def solve(
             i = k + (due & -due).bit_length() - 1
             for v, s1 in drops[i]:
                 if pair_sum[v] > s1 * vert_budget[v]:
-                    nodes += i - k + 1
-                    pruned += 1
+                    stats.nodes += i - k + 1
+                    stats.pruned += 1
                     return
             due &= due - 1
-        nodes += j - k + 1
+        stats.nodes += j - k + 1
         if j == last:
-            leaves += 1
+            stats.leaves += 1
             settle()
             return
         members, internal, s1 = branch[j]
@@ -298,11 +299,6 @@ def solve(
             dead |= pair_mask[q]
     descend(0, dead)
     solutions.sort(key=lambda f: f.values)
-    if stats is not None:
-        stats.nodes += nodes
-        stats.leaves += leaves
-        stats.pruned += pruned
-        stats.solutions += len(solutions)
     return solutions
 
 
@@ -326,10 +322,7 @@ class Realization:
     def __post_init__(self) -> None:
         r, p, d = as_ints((self.r, self.p, self.d), "r, p and d", low=1)
         with malformed("realization object"):
-            subsets = tuple(
-                s if isinstance(s, OrientedSubset) else OrientedSubset(tuple(s))
-                for s in self.subsets
-            )
+            subsets = tuple(map(_oriented, self.subsets))
             blocks = tuple(
                 (as_ints(verts, "block vertices"), as_ints(idx, "block indices"))
                 for verts, idx in self.blocks
@@ -452,18 +445,14 @@ def forms_of(real: Realization) -> list[SpecialForm]:
     """
     first = SpecialForm(real.d, real.p, tuple((s, 1) for s in real.subsets))
     support = first.support  # the subsets in term order
-    w = len(support)
-    free = (1 << w) - 1
+    free = (1 << len(support)) - 1
     for piv, _ in flip_basis([s.indices for s in support]):
         free ^= 1 << piv
     check_cap(free.bit_count(), DEFAULT_SIGN_CLASS_BIT_CAP, "sign class bit count")
     forms = [first]
     eps = free & -free  # every pattern within `free`, ascending
     while eps:
-        terms = tuple(
-            (s, -1 if (eps >> (w - 1 - pos)) & 1 else 1) for pos, s in enumerate(support)
-        )
-        forms.append(unchecked(SpecialForm, d=first.d, p=first.p, terms=terms))
+        forms.append(_signed(first.d, first.p, support, eps))
         eps = (eps - free) & free
     return forms
 

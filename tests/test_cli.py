@@ -85,6 +85,17 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     nonsense = write_json(tmp_path / "nonsense.json", {"d": 3})
     assert main(["canon", nonsense]) == 2
     capsys.readouterr()
+    # no UTF-8; an integer past Python's 4,300-digit limit; nesting past the
+    # recursion limit
+    for text, refusal in [
+        (b"\xff{}", "can't decode byte 0xff"),
+        (b'{"d": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b"[" * 5000 + b"]" * 5000, "maximum recursion depth exceeded"),
+    ]:
+        bad.write_bytes(text)
+        assert main(["canon", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and refusal in err
 
 
 def test_graph_command(form_file, capsys):
@@ -608,6 +619,16 @@ print("numpy" in sys.modules)
 def test_the_module_runs_the_command_line():
     done = _run_python("-m", "specialforms.cli", "bell", "7")
     assert (done.returncode, done.stdout, done.stderr) == (0, "877\n", "")
+
+
+def test_every_command_line_input_ends_in_exit_0_2_or_3():
+    # cli_property.py caps its own address space, so a missing size cap
+    # fails the property instead of exhausting memory; it prints the number
+    # of examples it ran and their seconds
+    done = _run_python(str(Path(__file__).with_name("cli_property.py")))
+    assert done.returncode == 0, done.stdout + done.stderr
+    examples, _ = done.stdout.split()
+    assert int(examples) >= 2000
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:

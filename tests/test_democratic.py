@@ -228,6 +228,11 @@ def test_distance_assignment_validation():
         DistanceAssignment((5,), (((1,), 1),))  # orbit (2,) missing
     with pytest.raises(DomainError):
         DistanceAssignment.from_sequence((5,), (1, 0))
+    b = DistanceAssignment.sequential((3, 5))
+    assert b.value((1, 2)) == b.value((2, 3)) == b.value((4, -3)) == 5  # (2, 3) = -(1, 2)
+    for delta in [(1, 2, 99), (1,), (3, -5)]:  # too long, too short, zero
+        with pytest.raises(DomainError, match=r"is not a nonzero element of Z_\(3, 5\)"):
+            b.value(delta)
     # factors below 2 are refused as Factorization refuses them
     for build in (
         lambda: DistanceAssignment((0,), ()),
@@ -424,6 +429,8 @@ def test_classify_validation():
         classify_small(5, 2, 0)
     with pytest.raises(DomainError):
         classify_small(5, 2, alphabet=(0,))
+    with pytest.raises(DomainError, match="alphabet must not be empty"):
+        classify_small(5, 2, alphabet=[])
     with pytest.raises(SpecialFormsError):
         classify_small(10**400 + 1, 3, 3)  # larger than any float
     with pytest.raises(CapacityError, match="count of 5001 digits exceeds the cap"):

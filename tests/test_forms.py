@@ -641,6 +641,8 @@ def test_signed_permutation_rejects_non_integers():
         SignedPermutation((), ())
     with pytest.raises(DomainError):
         SignedPermutation((2, 1), (1, 0))
+    with pytest.raises(DomainError, match="expected 2 axis flips, got 1"):
+        SignedPermutation((1, 2), (1,))
     with pytest.raises(DomainError):
         SignedPermutation.identity(2).compose(SignedPermutation.identity(3))
     with pytest.raises(DomainError):
@@ -657,4 +659,5 @@ def test_json_round_trip():
         assert SpecialForm.from_dict(f.to_dict()) == f
     g = SignedPermutation((2, 3, 1), (1, -1, 1))
     assert str(form(3, 2, ((1, 2), 1), ((1, 3), -1))) == "e12 - e13"
+    assert str(SpecialForm(3, 2, ())) == "0"
     assert g.compose(g.inverse()) == SignedPermutation.identity(3)

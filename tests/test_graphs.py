@@ -241,11 +241,13 @@ def test_kernel_checks_the_pinned_prefix():
     )
     e, prof = m.entries, _row_profiles(m.entries)
     # 1 -> 3, 2 -> 2 breaks entry (1, 2), although the rest would complete
-    assert _extend(e, e, prof, prof, [2, 1, 0, 3]) is None
-    assert _extend(e, e, prof, prof, []) == [0, 1, 2, 3, 4]
+    refused = SearchStats()
+    assert _extend(e, e, prof, prof, [2, 1, 0, 3], refused) is None
+    assert refused == SearchStats()  # a refused prefix enters no node
+    assert _extend(e, e, prof, prof, [], SearchStats()) == [0, 1, 2, 3, 4]
     pentagon = circulant_matrix(2, (1, 2)).entries
     prof = _row_profiles(pentagon)
-    assert _extend(pentagon, pentagon, prof, prof, [0, 4]) == [0, 4, 3, 2, 1]
+    assert _extend(pentagon, pentagon, prof, prof, [0, 4], SearchStats()) == [0, 4, 3, 2, 1]
 
 
 def test_symmetries_generators_of_fano_matrix_are_pinned():

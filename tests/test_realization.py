@@ -373,6 +373,7 @@ def test_verify_reports_failures():
     wrong_matrix = circulant_matrix(2, (2, 1))
     rep = verify(real, wrong_matrix)
     assert not rep.ok
+    assert verify(real, m) and not rep  # a report is true when it holds no failure
     assert any("distance" in x for x in rep.failures)
 
     broken = Realization(
@@ -654,8 +655,17 @@ def test_graph_function_value_rejects_non_integer_vertices():
         f.value([1.5, 2.7])
     with pytest.raises(DomainError):
         f.value([1.0, 2])
+    with pytest.raises(DomainError):
+        f.value([1, "2"])
     assert f.value(np.array([2, 1])) == 1
     assert f.value((np.int64(1), 3)) == 0
+
+
+@pytest.mark.parametrize("subset", [[1, 1], [9], [0, 2], []], ids=str)
+def test_graph_function_value_rejects_a_key_that_is_no_vertex_subset(subset):
+    f = GraphFunction(3, 2, (((1, 2), 1),))
+    with pytest.raises(DomainError, match="are not a nonempty increasing subset of 1..3"):
+        f.value(subset)
 
 
 def test_lift_symmetry_identity_on_every_solution():
