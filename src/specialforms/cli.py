@@ -11,6 +11,7 @@ starts and the total ascent iterations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -105,6 +106,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise DomainError(f"expected comma-separated integers for {what}: {text!r}") from exc
 
 
+@functools.cache  # built once per process; parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specialforms",
@@ -308,8 +310,7 @@ def _cmd_bell(args, cfg: RunConfig, record: dict) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # What --stats prints: the handler's searches add to "search", and a
     # handler may add fields of its own.
     record = {"search": SearchStats()}

@@ -315,11 +315,20 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # answer is the least reduced coset in the orbit of l0's signature under
 # these actions, an orbit of at most 2^(w - rank) cosets.
 #
-# A match runs the same search with another form's least rows as the
-# incumbent from the start.  A candidate row below the target's row makes
-# this form's least rows smaller and fails the match at once; the first leaf
-# on the target ends it, before a tie could give a generator.  The forms are
-# equivalent when that leaf's sign coset is in the other's coset orbit.
+# First, `orbit_equivalent` compares three sorted lists that a signed
+# permutation keeps: the index degrees, the overlap sizes of the term pairs,
+# and |U| and |value| of each nonzero component U of Alt(phi _|k phi) for
+# k < p, p - k even.  A pair s, t meeting in K, |K| = k, adds sign(s)sign(t)
+# (-1)^c at U = s ^ t, c the inversions of (s-K, K), (t-K, K) and (s-K, t-K).
+# Mod 2, c is k(k-1)/2 plus the number of x in s, y in t with x > y, and the
+# first part is one sign on all U of one size, which |value| drops.  For odd
+# p - k the reversed pair cancels the term.  The octonion phi gives 7 equal
+# components, a multiple of *phi, the 7 other sign classes of its support six
+# 1s and a 3.  If the lists agree, a match runs the same search with the
+# other form's least rows as its incumbent.  A candidate row below the
+# target's fails the match at once, as this form's least rows are smaller;
+# the first leaf on the target ends it, before a tie could give a generator,
+# and the forms are equivalent when its sign coset is in the other's orbit.
 # ---------------------------------------------------------------------------
 
 
@@ -329,13 +338,14 @@ class SearchStats:
     as it counts, so one object can total several calls.  By search:
 
     - placement (`canonicalize`; `orbit_equivalent` adds its search of the
-      first form and its match of the second): `nodes` the positions
-      entered, rows built in one pass after the last fresh label counting as
-      the walk would, a node per row compared and one for a leaf; `leaves`
-      the leaves reached; `pruned` the children skipped as an automorphism
-      maps them onto an explored sibling, and each leaf that ties the
-      incumbent and jumps back, but no bound cut, one-pass cut or failed
-      match; `solutions` the leaves on the least rows (a match: its leaf).
+      first form and its match of the second, nothing for a pair told apart
+      by invariants): `nodes` the positions entered, rows built in one pass
+      after the last fresh label counting as the walk would, a node per row
+      compared and one for a leaf; `leaves` the leaves reached; `pruned` the
+      children skipped as an automorphism maps them onto an explored
+      sibling, and each leaf that ties the incumbent and jumps back, but no
+      bound cut, one-pass cut or failed match; `solutions` the leaves on the
+      least rows (a match: its leaf).
     - `realization.solve`: `nodes` the subset positions entered, forced
       zero weights included; `leaves` the positions past the last branching
       subset; `pruned` the positions cut by the pair-budget bound;
@@ -458,6 +468,26 @@ def _least_signature(rows, base: int, relabelings) -> int:
         if not least:
             break
     return least
+
+
+def _invariants(form: SpecialForm) -> tuple[list, list, list]:
+    """The three lists that `orbit_equivalent` compares first, see above."""
+    degrees, terms = [0] * form.d, []
+    for s, g in form.terms:
+        m = odd = 0  # the index mask, and the y that an odd number of indices exceed
+        for x in s.indices:
+            degrees[x - 1] += 1
+            m, odd = m | 1 << x, odd ^ ((1 << x) - 1)
+        terms.append((m, g, odd))
+    overlaps, parts = [], {}
+    for i, (s, g, odd) in enumerate(terms):
+        for t, h, _ in terms[i + 1:]:
+            overlaps.append(k := (s & t).bit_count())
+            if (form.p - k) % 2 == 0:
+                sign = -g * h if (odd & t).bit_count() % 2 else g * h
+                parts[s ^ t] = parts.get(s ^ t, 0) + sign
+    contraction = [(u.bit_count(), abs(v)) for u, v in parts.items() if v]
+    return sorted(degrees), sorted(overlaps), sorted(contraction)
 
 
 def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple]:
@@ -658,8 +688,9 @@ def orbit_equivalent(
     """Whether two forms of equal (d, p) lie in the same orbit.
 
     Forms of unequal weight differ; others are refused, like `canonicalize`,
-    above DEFAULT_CANON_DIMENSION_CAP dimensions.  One full search finds a's
-    least rows and automorphisms, and b is matched against those rows, in 45
+    above DEFAULT_CANON_DIMENSION_CAP dimensions, and differ with no search
+    when their invariants differ, see above.  Otherwise one full search finds
+    a's least rows and automorphisms, and b is matched against them, in 45
     and 8 placement nodes for the octonion 3-form and a moved copy.  b is in
     a's orbit when its signs on the rows fall in the orbit of a's under a's
     automorphisms, modulo the axis flips.  `stats` receives both counts.
@@ -671,6 +702,8 @@ def orbit_equivalent(
     check_cap(a.d, DEFAULT_CANON_DIMENSION_CAP, "canonicalization dimension")
     if a.weight == 0:
         return True
+    if _invariants(a) != _invariants(b):
+        return False
     stats = SearchStats() if stats is None else stats
     rows, start, maps = _labeling(a, stats)
     match = _labeling(b, stats, rows)

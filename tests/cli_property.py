@@ -14,7 +14,7 @@ that a missing size cap lets grow fails the property with a MemoryError
 instead of exhausting the machine's memory; numpy, loaded by `calibrate`,
 runs one BLAS thread.  The whole property peaks at about 210 MB of address
 space.  On success it prints the number of examples run and the seconds
-they took, about 8 s on a 2-core Xeon.  `test_cli.py` runs it in a fresh
+they took, about 5 s on a 2-core Xeon.  `test_cli.py` runs it in a fresh
 interpreter.
 """
 

@@ -345,6 +345,52 @@ def test_output_file_after_command(tmp_path, pentagon_file, capsys):
     assert not unused.exists()
 
 
+def test_consecutive_main_calls_behave_like_fresh_ones(tmp_path, pentagon_file, capsys):
+    # main builds its parser once per process; no option, default or error
+    # of one call may reach the next
+    out = tmp_path / "out.json"
+    classify = ["democratic", "classify", "5", "--p", "2"]
+    calls = [
+        ["bell", "5"],
+        ["--stats", "bell", "6"],
+        ["-o", str(out), "realize", pentagon_file, "--p", "2"],
+        ["bell", "4"],
+        ["realize", pentagon_file, "--p", "2", "-o", str(out)],
+        ["--stats", "realize", pentagon_file, "--p", "2"],
+        [*classify, "--max-distance", "2"],
+        [*classify, "--max-distance", "2", "--alphabet", "1,2"],
+        [*classify, "--alphabet", "1,2"],
+        ["bell"],
+        ["bell", "7"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout, err = capsys.readouterr()
+        stats = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        for line in stats:
+            assert line.pop("seconds") >= 0.0
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout, [line for line in err.splitlines() if not line.startswith("{")], \
+            stats, written
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    _build_parser.cache_clear()
+    again = [run(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert again == fresh
+    assert [r[0] for r in again] == [0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert [bool(r[3]) for r in again] == [False, True, False, False, False, True] + [False] * 5
+    assert [r[4] is not None for r in again] == [False, False, True, False, True] + [False] * 6
+
+
 @pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["no-directory", "a-directory"])
 def test_output_to_a_path_that_cannot_be_written_exits_2(where, tmp_path, capsys):
     assert main(["-o", str(tmp_path / where), "bell", "5"]) == 2

@@ -31,6 +31,7 @@ from specialforms import (
     orbit_equivalent,
     subset_distance,
 )
+from specialforms.forms import _invariants
 
 
 def form(d, p, *terms):
@@ -290,13 +291,30 @@ def test_canonicalize_pinned_outputs(name):
 
 
 def test_one_flipped_sign_leaves_the_cayley_orbit():
+    # Alt(phi _|1 phi) is a multiple of psi = *phi: 7 components of 3.  One
+    # flipped sign leaves six of them 1, so no search runs.
     f = cayley_form()
+    assert _invariants(f)[2] == [(4, 3)] * 7
     for k in range(f.weight):
+        g = _flip_one_sign(f, k)
+        assert _invariants(g)[2] == [(4, 1)] * 6 + [(4, 3)]
         stats = SearchStats()
-        assert not orbit_equivalent(f, _flip_one_sign(f, k), stats=stats)
-        # the full search of the Cayley form, then a match that reaches its
-        # rows in 8 nodes and 1 leaf and fails on the signs
-        assert stats == SearchStats(nodes=45 + 8, leaves=6 + 1, pruned=11, solutions=6 + 1)
+        assert not orbit_equivalent(f, g, stats=stats)
+        assert stats == SearchStats()
+
+
+def test_a_sign_coset_outside_the_orbit():
+    # The hexagon and the hexagon with one flipped sign have equal
+    # invariants: no two of its disjoint edge pairs span the same 4 indices.
+    # The full search of the hexagon enters 19 nodes, and the match reaches
+    # its rows in 7 nodes and 1 leaf and fails on the signs.
+    edges = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))
+    hexagon = form(6, 2, *((e, 1) for e in edges))
+    flipped = _flip_one_sign(hexagon, 1)
+    assert _invariants(hexagon) == _invariants(flipped)
+    stats = SearchStats()
+    assert not orbit_equivalent(hexagon, flipped, stats=stats)
+    assert stats == SearchStats(nodes=19 + 7, leaves=3 + 1, pruned=6, solutions=3 + 1)
 
 
 def test_orbit_equivalent_search_stats_on_the_cayley_form():
@@ -333,6 +351,23 @@ def test_canonicalize_property_invariant_and_idempotent(case):
     assert canonicalize(apply(g, f)) == c
     assert canonicalize(c) == c
     assert _labels_in_order(c)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(forms_with_group_elements())
+def test_invariants_are_constant_on_orbits(case):
+    f, g = case
+    assert _invariants(apply(g, f)) == _invariants(f)
+
+
+def test_invariants_are_constant_on_orbits_up_to_nine_dimensions():
+    rng = random.Random(2626)
+    for _ in range(2000):
+        d = rng.randint(1, 9)
+        p = rng.randint(1, d)
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        f = _with_signs(rng.sample(subsets, rng.randint(0, min(16, len(subsets)))), d, p, rng)
+        assert _invariants(apply(SignedPermutation.random(d, rng), f)) == _invariants(f)
 
 
 def test_canonical_support_is_the_least_relabeled_support():
@@ -418,16 +453,27 @@ def test_orbit_equivalent():
     canonicalize(chain, stats=chain_full)
     assert disjoint_full == SearchStats(nodes=8, leaves=4, pruned=3, solutions=4)
     assert chain_full == SearchStats(nodes=6, leaves=2, pruned=1, solutions=2)
-    # the chain's least rows (12, 13) lie below the target (12, 34): its
-    # match stops at the first candidate under the target, in 2 nodes
+    # their index degrees differ, so neither order runs a search
+    for x, y in ((disjoint, chain), (chain, disjoint)):
+        stats = SearchStats()
+        assert not orbit_equivalent(x, y, stats=stats)
+        assert stats == SearchStats()
+
+    # A triangle and an edge, and a path, on five indices: equal invariants,
+    # and each full search enters 15 nodes.  The triangle's rows (12, 13,
+    # 23, 45) lie below the path's (12, 13, 24, 35), so matching it against
+    # them stops at the first candidate under the target, in 3 nodes ...
+    triangle = form(5, 2, ((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((4, 5), 1))
+    path = form(5, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), 1), ((3, 5), 1))
+    assert _invariants(triangle) == _invariants(path)
     stats = SearchStats()
-    assert not orbit_equivalent(disjoint, chain, stats=stats)
-    assert stats == SearchStats(nodes=8 + 2, leaves=4, pruned=3, solutions=4)
-    # the other way round every candidate lies above the target (12, 13),
-    # so the match ends without a leaf, in 5 nodes
+    assert not orbit_equivalent(path, triangle, stats=stats)
+    assert stats == SearchStats(nodes=15 + 3, leaves=2, pruned=2, solutions=2)
+    # ... and the other way round every candidate lies above the target, so
+    # the match ends without a leaf, in 15 nodes
     stats = SearchStats()
-    assert not orbit_equivalent(chain, disjoint, stats=stats)
-    assert stats == SearchStats(nodes=6 + 5, leaves=2, pruned=1, solutions=2)
+    assert not orbit_equivalent(triangle, path, stats=stats)
+    assert stats == SearchStats(nodes=15 + 15, leaves=4, pruned=5, solutions=4)
 
     # unequal weights differ before the cap is read; equal ones are refused
     # above it before any search, weight 0 included
@@ -482,7 +528,7 @@ def test_orbit_equivalent_search_stats_summed_over_seeded_pairs():
     # of its own; building the fully labeled rows in one pass must enter the
     # same tree.
     rng = random.Random(1717)
-    stats, same = SearchStats(), 0
+    stats, agreeing, same = SearchStats(), SearchStats(), 0
     for _ in range(110):
         d = rng.randint(4, 7)
         p = rng.randint(2, d - 2)
@@ -495,8 +541,14 @@ def test_orbit_equivalent_search_stats_summed_over_seeded_pairs():
         partners.append(_with_signs(rng.sample(subsets, len(support)), d, p, rng))
         for b in partners:
             same += orbit_equivalent(a, b, stats=stats)
+            if _invariants(a) == _invariants(b):
+                orbit_equivalent(a, b, stats=agreeing)
     assert same == 216
-    assert stats == SearchStats(nodes=70352, leaves=2304, pruned=2421, solutions=906)
+    # The 221 pairs whose invariants agree walk the same tree as before:
+    # their sum was pinned from the search without the invariant check.  The
+    # 109 pairs told apart add nothing, so the sum over all pairs is the same.
+    assert agreeing == SearchStats(nodes=31304, leaves=1439, pruned=1370, solutions=659)
+    assert stats == agreeing
 
 
 def test_canonicalize_search_stats_summed_over_dense_forms():
@@ -544,16 +596,27 @@ def test_match_fails_inside_the_forced_tail():
     star = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((1, 4), 1))
     path = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), 1))
     triangle = form(4, 2, ((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
-    # Each full search enters 10 nodes.  Rows 12 and 13 label all of the
-    # triangle; its row 23 lies below the path's row 24, so the match fails
-    # there ...
+    # their index degrees differ, so no search runs
+    for x, y in ((path, triangle), (star, triangle)):
+        stats = SearchStats()
+        assert not orbit_equivalent(x, y, stats=stats)
+        assert stats == SearchStats()
+    # These two have equal invariants; the full searches enter 58 and 56
+    # nodes.  Rows 123, 124, 135 and 146 label all of either; u's row 236
+    # lies below v's row 345, so matching u against v's rows fails there ...
+    u = form(6, 3, ((1, 2, 3), 1), ((1, 2, 4), 1), ((1, 3, 5), 1), ((1, 4, 6), 1),
+             ((2, 3, 6), 1))
+    v = form(6, 3, ((1, 2, 3), 1), ((1, 2, 4), 1), ((1, 3, 5), 1), ((1, 4, 6), 1),
+             ((3, 4, 5), 1))
+    assert _invariants(u) == _invariants(v)
     stats = SearchStats()
-    assert not orbit_equivalent(path, triangle, stats=stats)
-    assert stats == SearchStats(nodes=10 + 3, leaves=2, pruned=2, solutions=2)
-    # ... and above the star's row 14, so the match ends without a leaf.
+    assert not orbit_equivalent(v, u, stats=stats)
+    assert stats == SearchStats(nodes=56 + 5, leaves=1, pruned=0, solutions=1)
+    # ... and matching v against u's rows ends without a leaf, in 55 nodes,
+    # each of its forced tails lying above u's.
     stats = SearchStats()
-    assert not orbit_equivalent(star, triangle, stats=stats)
-    assert stats == SearchStats(nodes=10 + 13, leaves=3, pruned=3, solutions=3)
+    assert not orbit_equivalent(u, v, stats=stats)
+    assert stats == SearchStats(nodes=58 + 55, leaves=1, pruned=0, solutions=1)
 
 
 def test_forced_tail_from_row_two():
@@ -572,7 +635,9 @@ def test_forced_tail_from_row_two():
 def test_cayley_sign_classes_through_tie_leaves_in_the_forced_tail():
     # Rows 0-2 of the Fano support label all seven indices, so each of its
     # tie leaves, and the generator taken from it, is reached in one pass.
-    # Its 128 sign patterns fall into 8 flip cosets and 2 orbits.
+    # Its 128 sign patterns fall into 8 flip cosets and 2 orbits.  The 112
+    # outside the Cayley form's orbit are told apart by their invariants,
+    # so only the 16 inside it run a search and a match.
     cayley = cayley_form()
     outputs, full, matched, same = set(), SearchStats(), SearchStats(), 0
     for signs in itertools.product((1, -1), repeat=7):
@@ -581,7 +646,7 @@ def test_cayley_sign_classes_through_tie_leaves_in_the_forced_tail():
         same += orbit_equivalent(cayley, f, stats=matched)
     assert len(outputs) == 2 and same == 16
     assert full == SearchStats(nodes=5760, leaves=768, pruned=1408, solutions=768)
-    assert matched == SearchStats(nodes=6784, leaves=896, pruned=1408, solutions=896)
+    assert matched == SearchStats(nodes=848, leaves=112, pruned=176, solutions=112)
 
 
 def test_form_rejects_non_integers():
