@@ -23,11 +23,10 @@ forms.DEFAULT_CANON_DIMENSION_CAP dimensions, are refused before any work.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, PreconditionError, as_ints, check_cap, malformed
+from .errors import DomainError, PreconditionError, as_ints, as_reals, check_cap, malformed
 from .forms import DEFAULT_CANON_DIMENSION_CAP, SpecialForm
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
@@ -51,13 +50,20 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """p orthonormal vectors in R^d, stored as the rows of a (p, d) array."""
+    """p orthonormal vectors in R^d, stored as the rows of a (p, d) array.
+
+    The entries are read by `as_reals`, a list of rows element by element."""
 
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
         import numpy as np
-        v = np.array(self.vectors, dtype=float)
+        v = self.vectors
+        with malformed("frame"):
+            if isinstance(v, np.ndarray):
+                v = as_reals(v, "frame entries")
+            else:
+                v = np.array([as_reals(row, "frame entries") for row in v])
         if v.ndim != 2:
             raise DomainError("frame must be a 2-dimensional array")
         p, d = v.shape
@@ -280,13 +286,13 @@ class ComassReport:
     def from_dict(cls, data: dict) -> "ComassReport":
         with malformed("comass report"):
             return cls(
-                max_value=float(data["max_value"]),
+                max_value=as_reals((data["max_value"],), "max_value")[0],
                 calibrated=_as_bool(data["calibrated"]),
                 achieved_on_coordinate_plane=_as_bool(
                     data["achieved_on_coordinate_plane"]
                 ),
                 n_restarts=as_ints((data["n_restarts"],), "n_restarts")[0],
-                restart_values=tuple(float(x) for x in data["restart_values"]),
+                restart_values=as_reals(data["restart_values"], "restart_values"),
                 iterations=as_ints(data["iterations"], "iterations"),
                 converged=tuple(map(_as_bool, data["converged"])),
                 frame=Frame(data["frame"]),
@@ -309,8 +315,7 @@ def comass(
     (restarts,) = as_ints((restarts,), "restart count", low=0)
     check_cap(restarts, MAX_RESTARTS, "restart count")
     (seed,) = as_ints((seed,), "seed", low=0)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise DomainError(f"tolerance must be a real number, got {tol!r}")
+    (tol,) = as_reals((tol,), "tolerance")
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tolerance must lie in (0, 1e-2], got {tol}")
     d, p, w = form.d, form.p, form.weight

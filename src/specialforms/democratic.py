@@ -183,19 +183,25 @@ def product_matrix(
     """Difference matrix over a product of cyclic groups, row-major vertices.
 
     Entry (u, v) is the assignment value of v - u, looked up once per group
-    element.  Translations of the group are automorphisms, so the result is
-    democratic for every assignment.
+    element.  Vertices follow the factorization's non-increasing order; an
+    assignment given on the same factors in another order is read through
+    the coordinate permutation that sorts its factors.  Translations of the
+    group are automorphisms, so the result is democratic for every
+    assignment.
     """
     import numpy as np
     fac = _factorization(factorization)
     if assignment is None:
         assignment = DistanceAssignment.sequential(fac.factors)
-    if tuple(assignment.factors) != fac.factors:
-        raise DomainError(
-            f"assignment factors {assignment.factors} do not match {fac.factors}"
-        )
-    orbits, _ = _difference_orbits(fac.factors)
-    values = [0, *map(assignment._lookup.__getitem__, orbits[1:])]
+    given = tuple(assignment.factors)
+    if tuple(sorted(given, reverse=True)) != fac.factors:
+        raise DomainError(f"assignment factors {given} do not match {fac.factors}")
+    order = sorted(range(len(given)), key=given.__getitem__, reverse=True)
+    # position[k]: where the k-th group element in the factorization's
+    # row-major order lies in the assignment's row-major order
+    position = np.arange(fac.r).reshape(given).transpose(order).ravel().tolist()
+    orbits, _ = _difference_orbits(given)
+    values = [0, *(assignment._lookup[orbits[k]] for k in position[1:])]
     # index[u, v] is the row-major position of the difference v - u
     index = 0
     for n, x in zip(fac.factors, np.indices(fac.factors).reshape(len(fac.factors), -1)):

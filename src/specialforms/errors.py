@@ -4,8 +4,9 @@ Three failure modes are distinguished so the command line tool can map them
 onto distinct exit codes: bad input values, violated call preconditions, and
 requests that exceed a configured size cap.  Constructors and entry points
 check their inputs through the readers here: `as_ints` (no float is
-truncated, no bool read as 1, and an optional bound), `as_signs`,
-`as_subset`, `as_factors`, `as_permutation` and `malformed` for `from_dict`.
+truncated, no bool read as 1, and an optional bound), `as_reals` (finite
+ints and floats only), `as_signs`, `as_subset`, `as_factors`,
+`as_permutation` and `malformed` for `from_dict`.
 `check_cap` raises every CapacityError, as "<what> <size> exceeds the cap
 <cap>", or "<what> of <n> digits exceeds the cap <cap>" above 30 digits.
 Producers whose own inputs guarantee every invariant build through
@@ -14,7 +15,9 @@ Producers whose own inputs guarantee every invariant build through
 
 import contextlib
 import math
+import numbers
 import operator
+import sys
 from typing import Iterable, Optional
 
 
@@ -57,6 +60,30 @@ def as_ints(
             rule = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
             raise DomainError(f"{what} must {rule}, got {x}")
     return ints
+
+
+def as_reals(values: Iterable, what: str):
+    """The values as floats, raising DomainError unless each is a finite int
+    or float, numpy's included: a bool, string, complex number, NaN or +-inf
+    is refused.  A numpy array is checked by its dtype and returned as a
+    float copy of the same shape; other values give a tuple."""
+    np = sys.modules.get("numpy")  # no array exists before numpy is imported
+    if np is not None and isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise DomainError(f"{what} must be finite real numbers, got a {values.dtype} array")
+        if not np.isfinite(values).all():
+            raise DomainError(f"{what} must be finite real numbers, got NaN or inf")
+        return values.astype(float)
+    values = tuple(values)
+    for x in values:
+        try:
+            real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+            real = real and math.isfinite(x)
+        except OverflowError:  # an int beyond the float range
+            real = False
+        if not real:
+            raise DomainError(f"{what} must be finite real numbers, got {x!r}")
+    return tuple(map(float, values))
 
 
 def as_signs(values: Iterable, what: str) -> tuple[int, ...]:

@@ -289,9 +289,9 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # its fixed labels, and the walk is forced: one node per row, in sorted
 # order, and no sibling, which the bound left by the first child's subtree
 # cuts.  So these rows are sorted once and compared with the incumbent's:
-# at the first that differs the branch is cut if it is above, a match fails
-# if it is below, and a search goes on to a new incumbent.  `nodes` gains
-# what the walk would enter, one for each row compared and one for a leaf.
+# at the first that differs the branch is cut if it is above and goes on to
+# a leaf, a new incumbent, if it is below.  `nodes` gains what the walk
+# would enter, one for each row compared and one for a leaf.
 #
 # Automorphisms of the support prune the search (McKay & Piperno, "Practical
 # graph isomorphism, II", 2014).  Let l0 be the labeling that first reaches
@@ -325,10 +325,11 @@ def apply(g: SignedPermutation, form: SpecialForm) -> SpecialForm:
 # p - k the reversed pair cancels the term.  The octonion phi gives 7 equal
 # components, a multiple of *phi, the 7 other sign classes of its support six
 # 1s and a 3.  If the lists agree, a match runs the same search with the
-# other form's least rows as its incumbent.  A candidate row below the
-# target's fails the match at once, as this form's least rows are smaller;
-# the first leaf on the target ends it, before a tie could give a generator,
-# and the forms are equivalent when its sign coset is in the other's orbit.
+# other form's least rows, the target, as its first incumbent and stops at
+# its first leaf, before a tie could give a generator.  No leaf lies below
+# the least rows of an equivalent support, so the supports are equivalent
+# exactly when that leaf is on the target, and the forms are when its sign
+# coset is also in the other's orbit.
 # ---------------------------------------------------------------------------
 
 
@@ -344,8 +345,8 @@ class SearchStats:
       compared and one for a leaf; `leaves` the leaves reached; `pruned` the
       children skipped as an automorphism maps them onto an explored
       sibling, and each leaf that ties the incumbent and jumps back, but no
-      bound cut, one-pass cut or failed match; `solutions` the leaves on the
-      least rows (a match: its leaf).
+      bound cut or one-pass cut; `solutions` the leaves on the least rows
+      (a match: its leaf).
     - `realization.solve`: `nodes` the subset positions entered, forced
       zero weights included; `leaves` the positions past the last branching
       subset; `pruned` the positions cut by the pair-budget bound;
@@ -495,8 +496,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
 
     Returns the rows, the sign pattern that the first leaf reaching them
     gives the form, and the support automorphisms as maps of that leaf's
-    labels.  Given `target` rows it matches them instead, see above, and
-    returns None when no leaf reaches them.
+    labels.  Given `target` rows it matches them instead, see above: it
+    starts with them as its incumbent and returns its first leaf's rows and
+    sign pattern, or None when no leaf lies on or below them.
     """
     w, p = form.weight, form.p
     members = [s.indices for s, _ in form.terms]
@@ -555,15 +557,18 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             jump = None
         return jump is not None
 
-    def fixing(seen: int) -> list[_Generator]:
-        """The generators from the `seen`-th on that fix every labeled index."""
-        return [g for g in gens[seen:] if g.moved.isdisjoint(label_of)]
-
-    def meets(item: int, explored, maps: list) -> bool:
-        """Whether the maps' closure takes item to an explored sibling."""
-        hit = any(a in explored for a in _orbit(item, lambda a: [m[a] for m in maps]))
-        st.pruned += hit
-        return hit
+    def pruned(item: int, explored: set[int], read) -> bool:
+        """Whether the generators that fix every labeled index map item onto
+        an explored sibling, see above; if not, item joins `explored`.
+        `read(g)` is g's map of the items, or None to leave g out."""
+        if explored and gens:
+            maps = [m for g in gens if g.moved.isdisjoint(label_of) and (m := read(g))]
+            images = _orbit(item, lambda a: [m[a] for m in maps])
+            if maps and any(a in explored for a in images):
+                st.pruned += 1
+                return True
+        explored.add(item)
+        return False
 
     def assign(t: int, term: int, need: list[int], labs: tuple[int, ...]) -> None:
         """Hand out `labs` smallest first to the unlabeled indices `need`."""
@@ -575,14 +580,9 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                 unlabel(x)
             return
         explored: set[int] = set()
-        maps, seen = [], 0
         for x in need:
-            if explored and len(gens) > seen:
-                maps += [g.points for g in fixing(seen) if g.terms[term] == term]
-                seen = len(gens)
-            if maps and meets(x, explored, maps):
+            if pruned(x, explored, lambda g: g.points if g.terms[term] == term else None):
                 continue
-            explored.add(x)
             label(x, labs[0])
             path.append(x)
             assign(t, term, [y for y in need if y != x], labs[1:])
@@ -592,7 +592,6 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                 return
 
     def place(t: int) -> None:
-        nonlocal jump
         st.nodes += 1
         if t == w:
             finish()
@@ -604,11 +603,10 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
             tail = sorted(tuple(fixed[k]) for k in range(w) if not placed[k])
             for i, row in enumerate(tail if bound else ()):
                 goal = incumbent[t + i]
-                if row < goal and not target:
+                if row < goal:
                     break  # the leaf is a new incumbent
-                if row != goal:  # a cut, or a failed match as below
+                if row > goal:  # a cut
                     st.nodes += i
-                    jump = -1 if row < goal else None
                     return
             st.nodes += w - t
             rows.extend(tail)
@@ -622,24 +620,15 @@ def _labeling(form: SpecialForm, st: SearchStats, target=None) -> Optional[tuple
                 combo = fresh[: p - len(fixed[term])]
                 cands.append((tuple(fixed[term]) + combo, term, combo))
         cands.sort()
-        if target and cands[0][0] < bound:
-            jump = -1  # every leaf below lies under the target
-            return
-        explored: dict[tuple[int, ...], set[int]] = {}
-        maps, seen = [], 0
+        explored: set[int] = set()
         for tup, term, combo in cands:
             if best is not incumbent:
                 incumbent = best
                 bound = incumbent[t]
             if bound is not None and tup > bound:
                 break  # candidates are sorted; nothing below can beat the incumbent
-            if combo in explored:
-                if len(gens) > seen:
-                    maps += [g.terms for g in fixing(seen)]
-                    seen = len(gens)
-                if maps and meets(term, explored[combo], maps):
-                    continue
-            explored.setdefault(combo, set()).add(term)
+            if pruned(term, explored, lambda g: g.terms):
+                continue
             placed[term] = True
             rows.append(tup)
             path.append((term, combo))
@@ -690,10 +679,12 @@ def orbit_equivalent(
     Forms of unequal weight differ; others are refused, like `canonicalize`,
     above DEFAULT_CANON_DIMENSION_CAP dimensions, and differ with no search
     when their invariants differ, see above.  Otherwise one full search finds
-    a's least rows and automorphisms, and b is matched against them, in 45
-    and 8 placement nodes for the octonion 3-form and a moved copy.  b is in
-    a's orbit when its signs on the rows fall in the orbit of a's under a's
-    automorphisms, modulo the axis flips.  `stats` receives both counts.
+    a's least rows and automorphisms, and b is matched against them: a
+    search that starts with them as its incumbent and stops at its first
+    leaf, in 45 and 8 placement nodes for the octonion 3-form and a moved
+    copy.  b is in a's orbit when that leaf is on a's rows and b's signs on
+    them fall in the orbit of a's under a's automorphisms, modulo the axis
+    flips.  `stats` receives both counts.
     """
     if (a.d, a.p) != (b.d, b.p):
         raise DomainError("orbit equivalence requires equal dimension and degree")
@@ -707,7 +698,7 @@ def orbit_equivalent(
     stats = SearchStats() if stats is None else stats
     rows, start, maps = _labeling(a, stats)
     match = _labeling(b, stats, rows)
-    if match is None:
+    if match is None or match[0] != rows:
         return False
     pivots = flip_basis(rows)
     start, goal = _reduced(start, pivots), _reduced(match[1], pivots)

@@ -21,6 +21,7 @@ from specialforms import (
 )
 from specialforms import calibration
 from specialforms.calibration import MAX_RESTARTS, _lex_smallest
+from specialforms.errors import as_reals
 from specialforms.forms import DEFAULT_CANON_DIMENSION_CAP
 
 
@@ -243,6 +244,46 @@ def test_report_rejects_truncated_or_coerced_fields(key, value):
     data[key] = value
     with pytest.raises(DomainError):
         ComassReport.from_dict(data)
+
+
+# Values that `as_reals` refuses, each with the value the reader before it
+# read it as: True and "1" as 1.0, NaN kept, and 1j a bare TypeError.
+NOT_REALS = [True, False, np.bool_(True), "1", "nan", "1.0", 1j, None, math.nan,
+             math.inf, -math.inf, np.float64("nan"), pytest.param(10**400, id="10**400")]
+
+
+@pytest.mark.parametrize("bad", NOT_REALS)
+def test_real_numbers_are_read_strictly(bad):
+    with pytest.raises(DomainError):
+        as_reals([0.5, bad], "values")
+    # a list of rows is checked element by element: numpy would read True
+    # next to a float as 1.0
+    with pytest.raises(DomainError):
+        Frame([[bad, 0.0]])
+    with pytest.raises(DomainError):
+        Frame([[0.0, 1.0], [bad, 0.0]])
+    data = comass(form(3, 2, ((1, 2), 1)), restarts=1).to_dict()
+    for key, value in (("max_value", bad), ("restart_values", [1.0, bad])):
+        with pytest.raises(DomainError, match=key):
+            ComassReport.from_dict({**data, key: value})
+    with pytest.raises(DomainError, match="tolerance"):
+        comass(form(3, 2, ((1, 2), 1)), 2, bad)
+
+
+def test_real_number_arrays_are_read_by_dtype():
+    for bad in (np.array([[np.nan, 0.0]]), np.array([[0.0, -np.inf]]),
+                np.array([[True, False]]), np.array([[1 + 0j, 0]]),
+                np.array([["1", "0"]]), np.array([[1.0, 0.0]], dtype=object)):
+        with pytest.raises(DomainError, match="frame entries"):
+            Frame(bad)
+    for good in ([[1, 0]], [[np.int64(1), np.float32(0.0)]], np.eye(2, dtype=np.int8)[:1],
+                 np.eye(2, dtype=np.float32)[:1]):
+        assert Frame(good).vectors.tolist() == [[1.0, 0.0]]
+        assert Frame(good).vectors.dtype == np.float64
+    assert as_reals((1, np.int64(2), np.float32(0.5), 2.5), "values") == (1.0, 2.0, 0.5, 2.5)
+    data = comass(form(3, 2, ((1, 2), 1)), restarts=1).to_dict()
+    report = ComassReport.from_dict({**data, "max_value": 1, "restart_values": [1, np.float32(1)]})
+    assert report.max_value == 1.0 and report.restart_values == (1.0, 1.0)
 
 
 def test_tie_break_compares_rounded_frames_as_numbers():

@@ -218,6 +218,39 @@ def test_shift_generators_preserve_product_matrix():
                     assert m.entries[gen[v] - 1][gen[w] - 1] == m.entries[v][w]
 
 
+def test_product_matrix_reads_an_assignment_in_any_factor_order():
+    # the vertices are row-major in (3, 2) order, whatever the assignment's
+    a = DistanceAssignment.sequential((2, 3))
+    assert a.values == (((0, 1), 1), ((1, 0), 2), ((1, 1), 3))
+    swapped = DistanceAssignment((3, 2), tuple(((y, x), v) for (x, y), v in a.values))
+    m = product_matrix((2, 3), a)
+    assert m == product_matrix((3, 2), swapped) == product_matrix(Factorization((3, 2)), a)
+    assert m != product_matrix((3, 2))
+    for gen in cyclic_shift_generators((2, 3)):
+        assert all(m.entries[gen[v] - 1][gen[w] - 1] == m.entries[v][w]
+                   for v in range(m.r) for w in range(m.r))
+    assert is_democratic(m)
+    rng = random.Random(27)
+    for _ in range(20):
+        given = [rng.randint(2, 4) for _ in range(rng.randint(1, 3))]
+        reps = DistanceAssignment.orbit_representatives(given)
+        a = DistanceAssignment.from_sequence(given, [rng.randint(1, 6) for _ in reps])
+        factors = sorted(given, reverse=True)
+        order = sorted(range(len(given)), key=given.__getitem__, reverse=True)
+        m = product_matrix(given, a)
+        vertices = list(itertools.product(*(range(n) for n in factors)))
+        for (i, u), (j, v) in itertools.product(enumerate(vertices), repeat=2):
+            delta = [0] * len(given)
+            for axis, (x, y) in zip(order, zip(u, v)):
+                delta[axis] = y - x
+            assert m.entries[i][j] == (a.value(delta) if i != j else 0)
+    # a different multiset of factors is still refused
+    with pytest.raises(DomainError, match=r"do not match \(2, 2\)"):
+        product_matrix((2, 2), DistanceAssignment.sequential((4,)))
+    with pytest.raises(DomainError, match="do not match"):
+        product_matrix((3, 2), DistanceAssignment.sequential((2, 2)))
+
+
 def test_distance_assignment_validation():
     assert DistanceAssignment.orbit_representatives((5,)) == ((1,), (2,))
     a = DistanceAssignment.sequential((5,))

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -331,11 +332,20 @@ def test_orbit_equivalent_search_stats_on_the_cayley_form():
 
 
 @st.composite
-def forms_with_group_elements(draw):
-    d = draw(st.integers(1, 6))
-    p = draw(st.integers(1, d))
-    subsets = list(itertools.combinations(range(1, d + 1), p))
-    support = draw(st.lists(st.sampled_from(subsets), max_size=10, unique=True))
+def forms_with_group_elements(draw, dense=False):
+    """A form with d <= 6 and at most 10 terms, and a group element.  With
+    `dense`, half the forms have d = 6, 2 <= p <= 4 and all p-subsets but at
+    most 3: below d = 6 every support has at most 10 terms."""
+    if dense and draw(st.booleans()):
+        d, p = 6, draw(st.integers(2, 4))
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        left_out = draw(st.lists(st.sampled_from(subsets), max_size=3, unique=True))
+        support = [s for s in subsets if s not in left_out]
+    else:
+        d = draw(st.integers(1, 6))
+        p = draw(st.integers(1, d))
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        support = draw(st.lists(st.sampled_from(subsets), max_size=10, unique=True))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(support),
                           max_size=len(support)))
     sigma = draw(st.permutations(range(1, d + 1)))
@@ -353,8 +363,10 @@ def test_canonicalize_property_invariant_and_idempotent(case):
     assert _labels_in_order(c)
 
 
+# Dense supports put many pairs with p - k odd on one component, which the
+# invariants must leave out: sparse ones rarely do.
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(forms_with_group_elements())
+@given(forms_with_group_elements(dense=True))
 def test_invariants_are_constant_on_orbits(case):
     f, g = case
     assert _invariants(apply(g, f)) == _invariants(f)
@@ -462,13 +474,13 @@ def test_orbit_equivalent():
     # A triangle and an edge, and a path, on five indices: equal invariants,
     # and each full search enters 15 nodes.  The triangle's rows (12, 13,
     # 23, 45) lie below the path's (12, 13, 24, 35), so matching it against
-    # them stops at the first candidate under the target, in 3 nodes ...
+    # them ends at its first leaf, below the target, in 5 nodes ...
     triangle = form(5, 2, ((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((4, 5), 1))
     path = form(5, 2, ((1, 2), 1), ((1, 3), 1), ((2, 4), 1), ((3, 5), 1))
     assert _invariants(triangle) == _invariants(path)
     stats = SearchStats()
     assert not orbit_equivalent(path, triangle, stats=stats)
-    assert stats == SearchStats(nodes=15 + 3, leaves=2, pruned=2, solutions=2)
+    assert stats == SearchStats(nodes=15 + 5, leaves=2 + 1, pruned=2, solutions=2 + 1)
     # ... and the other way round every candidate lies above the target, so
     # the match ends without a leaf, in 15 nodes
     stats = SearchStats()
@@ -603,7 +615,8 @@ def test_match_fails_inside_the_forced_tail():
         assert stats == SearchStats()
     # These two have equal invariants; the full searches enter 58 and 56
     # nodes.  Rows 123, 124, 135 and 146 label all of either; u's row 236
-    # lies below v's row 345, so matching u against v's rows fails there ...
+    # lies below v's row 345, so matching u against v's rows gives a leaf
+    # below them there, in 6 nodes ...
     u = form(6, 3, ((1, 2, 3), 1), ((1, 2, 4), 1), ((1, 3, 5), 1), ((1, 4, 6), 1),
              ((2, 3, 6), 1))
     v = form(6, 3, ((1, 2, 3), 1), ((1, 2, 4), 1), ((1, 3, 5), 1), ((1, 4, 6), 1),
@@ -611,12 +624,45 @@ def test_match_fails_inside_the_forced_tail():
     assert _invariants(u) == _invariants(v)
     stats = SearchStats()
     assert not orbit_equivalent(v, u, stats=stats)
-    assert stats == SearchStats(nodes=56 + 5, leaves=1, pruned=0, solutions=1)
+    assert stats == SearchStats(nodes=56 + 6, leaves=1 + 1, pruned=0, solutions=1 + 1)
     # ... and matching v against u's rows ends without a leaf, in 55 nodes,
     # each of its forced tails lying above u's.
     stats = SearchStats()
     assert not orbit_equivalent(u, v, stats=stats)
     assert stats == SearchStats(nodes=58 + 55, leaves=1, pruned=0, solutions=1)
+
+
+def test_the_three_ways_a_match_says_no():
+    # Non-equivalent pairs whose invariants agree.  A match of x against y's
+    # least rows reaches no leaf, or its first leaf lies below them (the
+    # supports differ), or it lies on them and the sign coset falls outside
+    # y's orbit (the canonical supports agree).  The match's leaves are those
+    # of orbit_equivalent less those of canonicalizing x.
+    rng = random.Random(2727)
+    ways, pairs = Counter(), 0
+    while pairs < 80:
+        d = rng.randint(5, 7)
+        p = rng.randint(2, d - 2)
+        subsets = list(itertools.combinations(range(1, d + 1), p))
+        w = rng.randint(2, min(8, len(subsets)))
+        a, b = (_with_signs(rng.sample(subsets, w), d, p, rng) for _ in range(2))
+        if _invariants(a) != _invariants(b):
+            continue
+        full = {f: SearchStats() for f in (a, b)}
+        canon = {f: canonicalize(f, stats=full[f]) for f in (a, b)}
+        if canon[a] == canon[b]:
+            continue
+        pairs += 1
+        for x, y in ((a, b), (b, a)):
+            stats = SearchStats()
+            assert not orbit_equivalent(x, y, stats=stats)
+            if stats.leaves == full[x].leaves:
+                ways["no leaf"] += 1
+            elif canon[x].support != canon[y].support:
+                ways["a leaf below"] += 1
+            else:
+                ways["a sign coset outside"] += 1
+    assert min(ways.values()) >= 20 and len(ways) == 3, ways
 
 
 def test_forced_tail_from_row_two():

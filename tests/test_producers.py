@@ -124,6 +124,9 @@ def test_democratic_constructions_build_checked_matrices(factors, data):
     assignment = DistanceAssignment.from_sequence(factors, np.array(dist))
     assert_as_checked(product_matrix(factors, assignment))
     assert_as_checked(product_matrix(factors))
+    # an assignment on the same factors in another order
+    given = data.draw(st.permutations(factors))
+    assert_as_checked(product_matrix(factors, DistanceAssignment.from_sequence(given, dist)))
     n = data.draw(st.integers(1, 6))
     dist = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
     assert_as_checked(circulant_matrix(n, np.array(dist)))

@@ -2,8 +2,9 @@
 
 Round trips compare `to_dict` outputs, since frames compare by identity.
 Rejection replaces one integer in a valid dict by a non-integral float or
-a boolean, or one flag by a string or an integer, and expects DomainError,
-as it does for a dict missing a key.
+a boolean, one float by a string, a boolean, NaN or infinity, or one flag
+by a string or an integer, and expects DomainError, as it does for a dict
+missing a key.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -109,14 +111,14 @@ CASES = [
 IDS = [cls.__name__ for cls, _ in CASES]
 
 
-def _int_and_flag_leaves(data, path=()):
+def _number_and_flag_leaves(data, path=()):
     if isinstance(data, dict):
         for key, value in data.items():
-            yield from _int_and_flag_leaves(value, (*path, key))
+            yield from _number_and_flag_leaves(value, (*path, key))
     elif isinstance(data, list):
         for k, value in enumerate(data):
-            yield from _int_and_flag_leaves(value, (*path, k))
-    elif isinstance(data, int):  # bool included
+            yield from _number_and_flag_leaves(value, (*path, k))
+    elif isinstance(data, (int, float)):  # bool included
         yield path, data
 
 
@@ -145,9 +147,11 @@ def test_from_dict_rejects_non_integers_coerced_flags_and_missing_keys(
     cls, objects, data
 ):
     good = data.draw(objects).to_dict()
-    path, leaf = data.draw(st.sampled_from(list(_int_and_flag_leaves(good))))
+    path, leaf = data.draw(st.sampled_from(list(_number_and_flag_leaves(good))))
     if isinstance(leaf, bool):
         bad = data.draw(st.sampled_from((str(leaf).lower(), int(leaf))))
+    elif isinstance(leaf, float):
+        bad = data.draw(st.sampled_from((str(leaf), True, math.nan, -math.inf)))
     else:
         bad = data.draw(st.sampled_from((leaf + 0.5, True, False)))
     with pytest.raises(DomainError):
