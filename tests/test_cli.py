@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import cayley_form
@@ -29,6 +30,7 @@ from specialforms import (
     realize,
     solve,
 )
+from specialforms import cli
 from specialforms.calibration import DEFAULT_RESTARTS, DEFAULT_TOL, MAX_RESTARTS
 from specialforms.cli import _build_parser, _dump, main
 from specialforms.democratic import (
@@ -604,14 +606,90 @@ def test_stats_flag_on_a_refused_run(tmp_path, capsys):
 _floats = st.floats() | st.sampled_from((math.nan, math.inf, -math.inf, -0.0))
 _strings = st.text() | st.sampled_from(("", "é→𝄞", '"\\/\b\f\n\r\t\x00\x1f', "\ud800"))
 _keys = _strings | st.integers() | _floats | st.booleans() | st.none()
+_ints = st.integers(-3, 3) | st.integers()
+_int_lists = st.lists(_ints, min_size=1, max_size=4)
+# The near misses `_shaped` makes of the two shapes `_dump` writes through json's C encoder
+_MISS_KINDS = ("empty", "bool", "float", "none", "str", "key", "int key", "tuple", "nested",
+               "mixed")
+_BAD_KEYS = ('a"', "a\\", "a\n", "é", 'a,"b', "a,b", "a: [", "x],[y", "}],{", "1a", "", " a")
+
+
+@st.composite
+def _shaped(draw):
+    """A list of int lists or of flat dicts with identifier keys, or one near
+    miss of it, made in the first item or in a later one."""
+    if draw(st.booleans()):
+        obj = draw(st.lists(_int_lists, min_size=1, max_size=5))
+    else:  # later items use some of the first item's keys, in any order
+        names = draw(st.lists(st.sampled_from(("indices", "sign", "f", "_x1", "true")),
+                              min_size=1, max_size=3, unique=True))
+        keys = st.lists(st.sampled_from(names), min_size=1, unique=True)
+        obj = [{k: draw(_ints | _int_lists) for k in ks}
+               for ks in [names] + draw(st.lists(keys, max_size=4))]
+    miss = draw(st.sampled_from((None, None, None, *_MISS_KINDS)))
+    if miss is None:
+        return obj
+    k = draw(st.integers(0, len(obj) - 1))
+    item = obj[k]
+    bad = {"bool": True, "float": 1.0, "none": None, "empty": [],
+           "str": draw(st.sampled_from((",", "],[", "},{", ": [", ""))),
+           "tuple": tuple(draw(_int_lists)), "nested": [draw(_int_lists)]}.get(miss)
+    if miss == "mixed" and k == 0:  # an int last
+        obj.append(0)
+    elif miss == "mixed":  # an item of the other shape
+        obj.insert(k, [1] if type(item) is dict else {"a": 1})
+    elif type(item) is list:
+        if miss in ("key", "int key"):
+            obj[k] = {draw(st.sampled_from(_BAD_KEYS)) if miss == "key" else 1: item}
+        elif miss in ("empty", "tuple"):
+            obj[k] = [] if miss == "empty" else tuple(item)
+        else:
+            obj[k] = item + [bad]
+    elif miss in ("key", "int key"):
+        key_kind = _BAD_KEYS if miss == "key" else (1, True, False, None, 1.5)
+        item[draw(st.sampled_from(key_kind))] = 1
+    elif miss == "empty" and draw(st.booleans()):
+        obj[k] = {}
+    else:
+        item[draw(st.sampled_from(sorted(item)))] = bad
+    return obj
+
+
 _json_like = st.recursive(
     st.none() | st.booleans() | st.integers() | _floats | _strings
-    | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+    | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()) | _shaped(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_keys, inner, max_size=4),
     max_leaves=25,
 )
+
+# Near misses of the two shapes, each in the first item, which the checks on
+# Python objects refuse, and in a later one, which the text check refuses
+_NEAR_MISSES = {
+    "empty": [[[1], []], [[], [1]], [{"a": 1}, {}], [{"a": [1]}, {"a": []}], [{"a": []}]],
+    "bool": [[[1, 2], [3, True]], [[False]], [{"a": 1}, {"a": True}],
+             [{"a": [1, 2]}, {"a": [0, False]}]],
+    "float": [[[0], [2.0]], [{"a": -1}, {"a": 1.5}], [{"a": 1}, {"a": [1e100]}], [[math.nan]]],
+    "none": [[[1], [None]], [{"a": 1}, {"a": None}], [{"a": None}]],
+    "str": [[[1], ["1"]], [{"a": 1}, {"a": ","}], [{"a": [1]}, {"a": ['"a": [']}], [{"a": "b"}]],
+    "escaped key": [[{"a": 1}, {'a"': 1}], [{"a": 1}, {"a\\": 1}], [{"é": 1}], [{"a\n": [1]}]],
+    'key with ,"': [[{"a": 1}, {'a,"b': 1}], [{'x,"y': [1, 2]}], [{"a,b": [1, 2]}],
+                    [{"a": 1}, {"}],{": 1}], [{"a: [": 1}], [{"x],[y": [1]}], [{"a b": 1}]],
+    "digit key": [[{"1a": 1}], [{"a": 1}, {"1a": 2}], [{"a": 1}, {"": 1}]],
+    "int key": [[{"a": 1}, {1: 2}], [{1: [1]}], [{None: 1}], [{"a": 1}, {1.5: 1}]],
+    "third level": [[[1], [[2]]], [[[1]]], [[1, [2]]], [{"a": [1]}, {"a": [[1]]}],
+                    [{"a": 1}, {"a": {"b": 1}}], [{"a": [1, {"b": 1}]}], [{"a": {"b": 1}}]],
+    "mixed items": [[{"a": 1}, [1]], [[1], {"a": 1}], [[1], 2], [{"a": 1}, 2], [[1], 2, [3]],
+                    [{"a": 1}, 2, {"a": 3}]],
+}
+# A tuple writes a list's text and the key True writes "true", so the text
+# check cannot tell them apart and need not
+_SAME_TEXT = [[(1, 2), [3]], [[1], (2, 3)], ([1], [2]), [{"a": (1, 2)}], [{"a": 1}, {"a": (1,)}],
+              [{True: 1}], [{"true": 1}, {True: 2}]]
+_SHAPES = [[[5]], [[0, -1], [-(2**70), 3]], [{"a": 0}], [{"_x1": [-1]}, {"_x1": 2}],
+           [{"indices": [1, 2], "sign": -1}, {"sign": 0, "indices": [-3]}]]
+_PINNED = [*_SHAPES, *_SAME_TEXT, *itertools.chain(*_NEAR_MISSES.values())]
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -620,8 +698,31 @@ def test_dump_equals_json_dumps_indent_2(obj):
     assert _dump(obj) == json.dumps(obj, indent=2) + "\n"
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(obj=_shaped(), depth=st.integers(0, 2))
+def test_dump_on_the_two_shapes_and_their_near_misses(obj, depth):
+    for _ in range(depth):
+        obj = {"x": [obj]}
+    assert _dump(obj) == json.dumps(obj, indent=2) + "\n"
+    obj = [obj, {"x": obj}]  # one text at two indents in one call
+    assert _dump(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+for _obj in _PINNED:  # each also one level down, where the indent differs
+    test_dump_equals_json_dumps_indent_2 = example(obj=_obj)(
+        example(obj={"x": [_obj]})(test_dump_equals_json_dumps_indent_2))
+
+
+def test_the_c_path_takes_the_two_shapes_and_refuses_their_near_misses():
+    for obj in _SHAPES:
+        assert cli._indented(obj, "\n", {}) == json.dumps(obj, indent=2)
+    for obj in itertools.chain(*_NEAR_MISSES.values()):
+        assert cli._indented(obj, "\n", {}) is None, obj
+
+
 @pytest.mark.parametrize(
-    "obj", [object(), {"a": [1, b"x"]}, [{(1, 2): 0}], {1, 2}, {"f": 1j}]
+    "obj", [object(), {"a": [1, b"x"]}, [{(1, 2): 0}], {1, 2}, {"f": 1j},
+            [[1], [b"x"]], [{"a": 1}, {"a": 1j}], [{"a": [1]}, {(1,): 2}]]
 )
 def test_dump_refuses_what_json_refuses(obj):
     with pytest.raises(TypeError):
@@ -642,6 +743,55 @@ def test_realize_output_is_json_dumps_indent_2(tmp_path, capsys):
         for f in solutions
     ]}
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", "FORM"],
+        ["graph", "FORM"],
+        ["realize", "ALL_TWO_6", "--p", "4", "--all-signs"],
+        ["democratic", "matrix", "--circulant", "7"],
+        ["democratic", "matrix", "--circulant", "1023"],  # above the C path's gate
+        ["democratic", "matrix", "--product", "3,3"],
+        ["democratic", "enum", "720720"],  # 8,727 families
+        ["democratic", "count", "720720"],
+        ["democratic", "classify", "7", "--p", "3", "--max-distance", "3"],
+        ["calibrate", "FORM", "--restarts", "20"],
+        ["bell", "50"],
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_every_json_command_writes_json_dumps_indent_2(argv, tmp_path, form_file, capsys):
+    all_two = [[0 if i == j else 2 for j in range(6)] for i in range(6)]
+    files = {"FORM": form_file,
+             "ALL_TWO_6": write_json(tmp_path / "all_two.json", {"r": 6, "entries": all_two})}
+    assert main([files.get(a, a) for a in argv]) == 0
+    out, _ = capsys.readouterr()
+    # floats round-trip through repr, so this compares every byte
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_dump_without_json_s_c_encoder_takes_the_recursive_path(tmp_path, capsys, monkeypatch):
+    all_two = [[0 if i == j else 2 for j in range(6)] for i in range(6)]
+    path = write_json(tmp_path / "all_two.json", {"r": 6, "entries": all_two})
+    assert main(["realize", path, "--p", "4", "--all-signs"]) == 0
+    with_c, _ = capsys.readouterr()
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)  # as without _json
+    try:
+        importlib.reload(cli)
+        assert cli._compact is None
+        for obj in _PINNED:
+            assert cli._dump(obj) == json.dumps(obj, indent=2) + "\n"
+        for obj in ([[1], [b"x"]], [{"a": 1}, {"a": 1j}], object()):
+            with pytest.raises(TypeError):
+                cli._dump(obj)
+        assert cli.main(["realize", path, "--p", "4", "--all-signs"]) == 0
+        assert capsys.readouterr().out == with_c
+    finally:
+        monkeypatch.undo()
+        importlib.reload(cli)
+    assert cli._compact is not None
 
 
 def test_numpy_loads_only_for_the_commands_that_use_it(tmp_path, form_file, pentagon_file):
